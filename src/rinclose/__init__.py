@@ -37,21 +37,25 @@ from .oracle import oracle_enumerate
 __version__ = "0.1.0"
 
 
+# bic type -> enumerator; every enumerator is (matrix, params) -> BiclusterSolution
+ALGORITHMS = {
+    "ctv-binary": enumerate_ctv_binary,
+    "cvc-p": enumerate_cvc,
+    "cvc": enumerate_cvc,
+    "cvr-p": enumerate_cvr,
+    "cvr": enumerate_cvr,
+    "chv-p": enumerate_chv_perfect,
+    "chv": enumerate_chv,
+}
+
+
 def enumerate_biclusters(matrix, params: EnumParams) -> BiclusterSolution:
-    """Dispatch to the enumerator for ``params.bic_type``."""
-    t = params.bic_type
-    if t == "ctv-binary":
-        return enumerate_ctv_binary(BinaryContext(matrix), params.min_row, params.min_col)
-    if t in ("cvc", "cvc-p"):
-        return enumerate_cvc(matrix, params)
-    if t in ("cvr", "cvr-p"):
-        return enumerate_cvr(matrix, params)
-    if t == "chv":
-        return enumerate_chv(matrix, params)
-    return enumerate_chv_perfect(matrix, params.min_row, params.min_col, params.model)
+    """Run the enumerator for ``params.bic_type``."""
+    return ALGORITHMS[params.bic_type](matrix, params)
 
 
 __all__ = [
+    "ALGORITHMS",
     "AugmentedMatrix",
     "Bicluster",
     "BiclusterSolution",

@@ -6,9 +6,12 @@ row.  Multiplicative coherence reduces to this by mining the elementwise log
 (``model="scale"``).
 
 Perfect case (epsilon = 0): coherence with a single pivot column transfers
-exactly to all column pairs, so the search runs one restricted closure walk
-per pivot column, branching on equal-difference row groups and testing
-canonicity against all earlier columns.
+exactly to all column pairs, so the search makes one call of the
+constant-column kernel per pivot column atr, on the differences
+values[:, atr] - values with the root's intent seeded by atr.  The kernel
+branches on equal-difference row groups and tests canonicity against all
+earlier columns.  The transfer is exact when those differences are exactly
+representable (integers, dyadic values); see the README.
 
 Perturbed case (epsilon > 0): a pivot column is not enough (pairwise error
 could reach 2*epsilon), so the problem is lifted to the augmented matrix
@@ -43,7 +46,7 @@ from .core import (
     sort_biclusters,
     transform_for_model,
 )
-from .cvc import _canonical_fast, _mine_cvc, _window_ends, _window_starts
+from .cvc import _mine_cvc
 
 
 @dataclass(frozen=True)
@@ -92,76 +95,28 @@ def build_augmented(matrix) -> AugmentedMatrix:
     return AugmentedMatrix(matrix=NumericMatrix(np.column_stack(cols)), pairs=pairs)
 
 
-def enumerate_chv_perfect(
-    matrix, min_row: int = 1, min_col: int = 2, model: str = "shift"
-) -> BiclusterSolution:
+def enumerate_chv_perfect(matrix, params: EnumParams) -> BiclusterSolution:
     """All maximal perfect shifting biclusters, each exactly once.
 
-    One restricted walk per pivot column: the pivot is the smallest column of
+    One kernel walk per pivot column: the pivot is the smallest column of
     every intent found under it, and only later columns are scanned.  A pivot
     whose difference with some earlier column is constant over all rows is
     skipped outright — every bicluster under it would repeat an earlier
     pivot's subtree.
     """
-    if min_col < 2:
-        raise ValueError("chv mining requires min_col >= 2")
-    if min_row < 1:
-        raise ValueError("min_row must be >= 1")
+    if params.bic_type != "chv-p":
+        raise ValueError(f"enumerate_chv_perfect expects bic_type chv-p, got {params.bic_type!r}")
     t0 = time.perf_counter()
-    values = transform_for_model(matrix, model).values
-    n, m = values.shape
+    values = transform_for_model(matrix, params.model).values
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
-    all_rows = np.arange(n, dtype=np.intp)
-    for atr in range(m - 1):
-        piv_all = values[:, atr]
-        if any(
-            (d := piv_all - values[:, k]).max() - d.min() == 0.0 for k in range(atr)
-        ):
+    for atr in range(values.shape[1] - 1):
+        z = values[:, [atr]] - values  # differences vs the pivot column
+        if (np.ptp(z[:, :atr], axis=0) == 0.0).any():
             continue
-        # stack entries: (extent ids sorted, intent, start attr)
-        stack: list[tuple[np.ndarray, tuple[int, ...], int]] = [(all_rows, (atr,), atr + 1)]
-        while stack:
-            a, b_in, y = stack.pop()
-            nodes += 1
-            va = values[a]
-            z = va[:, [atr]] - va  # (|a|, m) differences vs the pivot column
-            rng_all = z.max(axis=0) - z.min(axis=0)
-            intent = list(b_in)
-            bset = set(b_in)
-            children: list[tuple[np.ndarray, int]] = []
-            pruned = False
-            for j in range(y, m):
-                if j in bset:
-                    continue
-                if len(intent) + (m - j) < min_col:
-                    pruned = True
-                    break
-                if rng_all[j] == 0.0:
-                    intent.append(j)
-                    bset.add(j)
-                    continue
-                zj = z[:, j]
-                order = np.lexsort((a, zj))
-                sv = zj[order]
-                sids = a[order]
-                ends = _window_ends(sv, 0.0)
-                for p in _window_starts(ends):
-                    e = int(ends[p])
-                    if e - p < min_row:
-                        continue
-                    rw = np.sort(sids[p:e])
-                    vc = values[rw]
-                    zc = vc[:, [atr]] - vc
-                    if not _canonical_fast(zc, np.arange(len(rw), dtype=np.intp), bset, j, 0.0):
-                        continue
-                    children.append((rw, j))
-            if not pruned and len(a) >= min_row and len(intent) >= min_col:
-                out.append((tuple(int(r) for r in a), tuple(sorted(intent))))
-            for rw, j in reversed(children):
-                stack.append((rw, tuple(sorted(intent + [j])), j + 1))
-
-    params = EnumParams(0.0, min_row, min_col, "chv-p", model)
+        pairs, k = _mine_cvc(z, 0.0, params.min_row, params.min_col, root=(atr,))
+        out += pairs
+        nodes += k
     return BiclusterSolution(
         biclusters=sort_biclusters(Bicluster(r, c) for r, c in out),
         params=params,
@@ -252,13 +207,7 @@ def enumerate_chv(matrix, params: EnumParams) -> BiclusterSolution:
         )
     aug = build_augmented(mat)
     min_pairs = params.min_col * (params.min_col - 1) // 2
-    pairs, nodes = _mine_cvc(
-        aug.values,
-        params.epsilon,
-        params.min_row,
-        min_pairs,
-        perfect=False,
-    )
+    pairs, nodes = _mine_cvc(aug.values, params.epsilon, params.min_row, min_pairs)
     emitted: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     out: list[Bicluster] = []
     for rows, cols in pairs:

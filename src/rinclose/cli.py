@@ -19,18 +19,14 @@ import logging
 import os
 import sys
 
+from . import ALGORITHMS
 from . import io as rio
-from .chv import enumerate_chv, enumerate_chv_perfect
 from .core import BIC_TYPES, EnumParams
-from .cvc import enumerate_cvc, enumerate_cvr
 from .datagen import PATTERNS, GenConfig, generate
-from .inclose2 import BinaryContext, enumerate_ctv_binary
 from .metrics import precision_recall, solution_report
 from .oracle import oracle_enumerate
 
 log = logging.getLogger("rinclose")
-
-ENGINE_ALGS = ("ctv-binary", "cvc-p", "cvc", "cvr-p", "cvr", "chv-p", "chv")
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -54,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--alg",
         required=True,
-        help=f"one of {', '.join(ENGINE_ALGS)}, or oracle:<type> (experimental, brute force)",
+        help=f"one of {', '.join(ALGORITHMS)}, or oracle:<type> (experimental, brute force)",
     )
     mine.add_argument("--epsilon", type=float, default=0.0, help="residue bound (default 0)")
     mine.add_argument("--min-rows", type=int, default=1, help="minimum rows per bicluster")
@@ -106,8 +102,10 @@ def _cmd_mine(args, parser: argparse.ArgumentParser) -> int:
             parser.error(
                 f"unknown oracle type {oracle_type!r}; expected one of {sorted(BIC_TYPES)}"
             )
-    elif alg not in ENGINE_ALGS:
-        parser.error(f"unknown --alg {alg!r}; expected one of {ENGINE_ALGS} or oracle:<type>")
+    elif alg not in ALGORITHMS:
+        parser.error(
+            f"unknown --alg {alg!r}; expected one of {tuple(ALGORITHMS)} or oracle:<type>"
+        )
     try:
         params = EnumParams(
             args.epsilon, args.min_rows, args.min_cols, oracle_type or alg, args.model
@@ -121,16 +119,8 @@ def _cmd_mine(args, parser: argparse.ArgumentParser) -> int:
         if oracle_type is not None:
             log.info("oracle:%s is experimental test tooling (brute force)", oracle_type)
             sol = oracle_enumerate(matrix, params)
-        elif alg == "ctv-binary":
-            sol = enumerate_ctv_binary(BinaryContext(matrix), params.min_row, params.min_col)
-        elif alg in ("cvc", "cvc-p"):
-            sol = enumerate_cvc(matrix, params)
-        elif alg in ("cvr", "cvr-p"):
-            sol = enumerate_cvr(matrix, params)
-        elif alg == "chv":
-            sol = enumerate_chv(matrix, params)
         else:
-            sol = enumerate_chv_perfect(matrix, params.min_row, params.min_col, params.model)
+            sol = ALGORITHMS[alg](matrix, params)
     except (OSError, ValueError) as exc:
         log.error("error: %s", exc)
         return 1

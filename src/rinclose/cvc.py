@@ -22,14 +22,20 @@ Three guards keep the perturbed output exact, complete and duplicate-free:
   band; only those can ever rejoin a descendant.
 
 With epsilon = 0 the windows are the equal-value groups, which are disjoint,
-so none of the three guards beyond canonicity is needed: that is the perfect
-variant.  The guards can be toggled individually for differential testing.
+so none of the three guards beyond canonicity is needed: the kernel runs the
+registry and RM only when epsilon > 0, and at epsilon = 0 it is the perfect
+variant.  Their off-switches are private to the kernel, for the tests that
+show each guard is needed.
+
+This walk is the one numeric kernel: ``cvr`` reaches it through the
+transpose, ``chv-p`` through one pivot-difference matrix per pivot column
+(see ``chv``), and ``chv`` through the augmented matrix.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +44,6 @@ from .core import (
     BiclusterSolution,
     EnumParams,
     SolutionStats,
-    as_matrix,
     sort_biclusters,
     transform_for_model,
     transpose,
@@ -74,69 +79,6 @@ def _window_starts(ends: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(ends, prepend=-1) > 0)
 
 
-def candidate_extents(rows: Sequence[tuple[int, float]], epsilon: float) -> list[list[int]]:
-    """Maximal epsilon-windows of a (row-id, value) list, as sorted row-id lists.
-
-    Rows are ordered by (value, row-id); every window is a contiguous run with
-    value range <= epsilon that cannot be extended on either side.  Windows are
-    returned in ascending order of their start in the sorted sequence; a
-    window covering all rows is possible (the caller then absorbs the
-    attribute instead of branching).
-    """
-    if not rows:
-        raise ValueError("candidate_extents requires a nonempty row list")
-    pairs = sorted(rows, key=lambda rv: (rv[1], rv[0]))
-    ids = [r for r, _ in pairs]
-    sv = np.array([v for _, v in pairs], dtype=np.float64)
-    ends = _window_ends(sv, epsilon)
-    return [sorted(ids[p:e]) for p, e in ((p, int(ends[p])) for p in _window_starts(ends))]
-
-
-def is_canonical_cvc(matrix, rw: Sequence[int], b: Iterable[int], j: int, epsilon: float) -> bool:
-    """False iff some attribute k < j outside the intent has range <= epsilon over rw."""
-    values = as_matrix(matrix).values
-    if not len(rw):
-        raise ValueError("rw must be nonempty")
-    bset = set(b)
-    rows = np.asarray(rw, dtype=np.intp)
-    for k in range(j):
-        if k in bset:
-            continue
-        col = values[rows, k]
-        if col.max() - col.min() <= epsilon:
-            return False
-    return True
-
-
-def compute_rm(
-    rows_sorted: Sequence[tuple[int, float]],
-    window: tuple[int, int],
-    min_row: int,
-    epsilon: float,
-) -> list[int]:
-    """Rows outside the window that stay within reach of its pivot band.
-
-    ``window`` is a half-open index range [start, stop) into rows_sorted
-    (which must be sorted by value).  The pivots are the min_row-th value
-    from each end of the window; a row outside it belongs to RM iff its value
-    v satisfies v >= v_lo - epsilon and v <= v_hi + epsilon.  Only such rows
-    can ever complete a descendant of this window to a non-maximal extent.
-    """
-    start, stop = window
-    if stop - start < min_row:
-        raise ValueError(
-            f"window of length {stop - start} is shorter than min_row={min_row}"
-        )
-    v_lo = rows_sorted[start + min_row - 1][1]
-    v_hi = rows_sorted[stop - min_row][1]
-    out = [
-        rid
-        for k, (rid, v) in enumerate(rows_sorted)
-        if not start <= k < stop and v >= v_lo - epsilon and v <= v_hi + epsilon
-    ]
-    return sorted(out)
-
-
 def _joinable_mask(
     values: np.ndarray,
     extent: np.ndarray,
@@ -151,18 +93,6 @@ def _joinable_mask(
     cmax = sub.max(axis=0)
     cv = values[np.ix_(cand_rows, cols)]
     return ((cv - cmin) <= eps).all(axis=1) & ((cmax - cv) <= eps).all(axis=1)
-
-
-def is_row_maximal_cvc(matrix, a: Sequence[int], b: Sequence[int], rm: Sequence[int], epsilon: float) -> bool:
-    """True iff no row of rm can be added to extent a keeping every column of b within epsilon."""
-    if not len(a):
-        raise ValueError("extent must be nonempty")
-    if not len(rm):
-        return True
-    values = as_matrix(matrix).values
-    return not _joinable_mask(
-        values, np.asarray(a, dtype=np.intp), list(b), np.asarray(rm, dtype=np.intp), epsilon
-    ).any()
 
 
 class ExtentRegistry:
@@ -221,25 +151,26 @@ def _mine_cvc(
     min_row: int,
     min_col: int,
     *,
-    perfect: bool,
+    root: tuple[int, ...] = (),
     use_registry: bool = True,
     use_rm: bool = True,
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    """Core walk shared by the perfect and perturbed variants.
+    """Core walk shared by every numeric bicluster type.
 
-    Returns (list of (rows, cols) pairs, node count).  ``perfect`` must come
-    with eps = 0 and additionally switches off the registry and RM guards,
-    which equal-value groups make redundant.
+    Returns (list of (rows, cols) pairs, node count).  The registry and RM
+    guards run only when eps > 0; the two toggles can switch them off there.
+    ``root`` seeds the root's intent, and the scan then starts past its last
+    attribute.
     """
     n, m = values.shape
-    registry = ExtentRegistry() if (use_registry and not perfect) else None
-    track_rm = use_rm and not perfect
+    registry = ExtentRegistry() if (use_registry and eps > 0) else None
+    track_rm = use_rm and eps > 0
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
     empty = np.empty(0, dtype=np.intp)
     # stack entries: (extent row ids sorted, inherited intent, start attr, check-set RM)
     stack: list[tuple[np.ndarray, tuple[int, ...], int, np.ndarray]] = [
-        (np.arange(n, dtype=np.intp), (), 0, empty)
+        (np.arange(n, dtype=np.intp), root, root[-1] + 1 if root else 0, empty)
     ]
     while stack:
         a, b_in, y, rm = stack.pop()
@@ -298,31 +229,16 @@ def _mine_cvc(
     return out, nodes
 
 
-def enumerate_cvc(
-    matrix,
-    params: EnumParams,
-    *,
-    use_registry: bool = True,
-    use_rm: bool = True,
-) -> BiclusterSolution:
+def enumerate_cvc(matrix, params: EnumParams) -> BiclusterSolution:
     """All maximal constant-column biclusters meeting the size filters, each once.
 
     params.bic_type selects the variant: "cvc-p" (epsilon = 0) or "cvc".
-    The guard toggles exist for differential testing only.
     """
     if params.bic_type not in ("cvc", "cvc-p"):
         raise ValueError(f"enumerate_cvc expects bic_type cvc or cvc-p, got {params.bic_type!r}")
     t0 = time.perf_counter()
     mat = transform_for_model(matrix, params.model)
-    pairs, nodes = _mine_cvc(
-        mat.values,
-        params.epsilon,
-        params.min_row,
-        params.min_col,
-        perfect=params.bic_type == "cvc-p",
-        use_registry=use_registry,
-        use_rm=use_rm,
-    )
+    pairs, nodes = _mine_cvc(mat.values, params.epsilon, params.min_row, params.min_col)
     return BiclusterSolution(
         biclusters=sort_biclusters(Bicluster(r, c) for r, c in pairs),
         params=params,
@@ -330,7 +246,7 @@ def enumerate_cvc(
     )
 
 
-def enumerate_cvr(matrix, params: EnumParams, **toggles) -> BiclusterSolution:
+def enumerate_cvr(matrix, params: EnumParams) -> BiclusterSolution:
     """Constant-row mining: transpose, mine constant columns, swap back."""
     if params.bic_type not in ("cvr", "cvr-p"):
         raise ValueError(f"enumerate_cvr expects bic_type cvr or cvr-p, got {params.bic_type!r}")
@@ -341,7 +257,7 @@ def enumerate_cvr(matrix, params: EnumParams, **toggles) -> BiclusterSolution:
         "cvc" if params.bic_type == "cvr" else "cvc-p",
     )
     # transform first (under the caller's model), then mine the transpose in shift space
-    sol = enumerate_cvc(transpose(transform_for_model(matrix, params.model)), inner, **toggles)
+    sol = enumerate_cvc(transpose(transform_for_model(matrix, params.model)), inner)
     return BiclusterSolution(
         biclusters=sort_biclusters(b.swapped() for b in sol.biclusters),
         params=params,

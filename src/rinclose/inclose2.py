@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from .cliques import _bits
 from .core import (
     Bicluster,
     BiclusterSolution,
@@ -47,26 +48,7 @@ class BinaryContext:
         ]
 
 
-def derive_attr(context: BinaryContext, col: int) -> set[int]:
-    """All rows with a 1 in the given column."""
-    if not 0 <= col < context.m:
-        raise IndexError(f"column {col} out of range for {context.m} attributes")
-    mask = context.col_masks[col]
-    return {r for r in range(context.n) if mask >> r & 1}
-
-
-def _rows_of(mask: int) -> tuple[int, ...]:
-    out = []
-    r = 0
-    while mask:
-        if mask & 1:
-            out.append(r)
-        mask >>= 1
-        r += 1
-    return tuple(out)
-
-
-def enumerate_ctv_binary(context: BinaryContext, min_row: int = 1, min_col: int = 1) -> BiclusterSolution:
+def enumerate_ctv_binary(matrix, params: EnumParams) -> BiclusterSolution:
     """All formal concepts (A, B) with |A| >= min_row and |B| >= min_col.
 
     A node is abandoned (no emission, attribute scan stopped) as soon as its
@@ -74,10 +56,14 @@ def enumerate_ctv_binary(context: BinaryContext, min_row: int = 1, min_col: int 
     children created before that point are still explored, since they keep
     their own chances from their earlier branch attributes.
     """
-    if min_row < 1 or min_col < 1:
-        raise ValueError("min_row and min_col must be >= 1")
+    if params.bic_type != "ctv-binary":
+        raise ValueError(
+            f"enumerate_ctv_binary expects bic_type ctv-binary, got {params.bic_type!r}"
+        )
     t0 = time.perf_counter()
+    context = BinaryContext(matrix)
     m, col_masks = context.m, context.col_masks
+    min_row, min_col = params.min_row, params.min_col
     full = (1 << context.n) - 1
     out: list[Bicluster] = []
     nodes = 0
@@ -100,19 +86,17 @@ def enumerate_ctv_binary(context: BinaryContext, min_row: int = 1, min_col: int 
             if rw == a_mask:
                 intent.append(j)
                 bset.add(j)
-            elif bin(rw).count("1") >= min_row:
+            elif rw.bit_count() >= min_row:
                 # canonicity: an earlier non-intent attribute covering rw means
                 # this extent was (or will be) produced in an earlier subtree
                 if not any(
                     rw & col_masks[k] == rw for k in range(j) if k not in bset
                 ):
                     children.append((rw, j))
-        if not pruned and bin(a_mask).count("1") >= min_row and len(intent) >= min_col:
-            out.append(Bicluster(_rows_of(a_mask), intent))
+        if not pruned and a_mask.bit_count() >= min_row and len(intent) >= min_col:
+            out.append(Bicluster(tuple(_bits(a_mask)), intent))
         for rw, j in reversed(children):
             stack.append((rw, tuple(sorted(intent + [j])), j + 1))
-
-    params = EnumParams(0.0, min_row, min_col, "ctv-binary")
     return BiclusterSolution(
         biclusters=sort_biclusters(out),
         params=params,

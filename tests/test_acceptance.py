@@ -15,16 +15,13 @@ import pytest
 from conftest import TABLE1, TABLE2
 
 from rinclose import (
+    ALGORITHMS,
     Bicluster,
-    BinaryContext,
     EnumParams,
     GenConfig,
     build_augmented,
     enumerate_chv,
-    enumerate_chv_perfect,
-    enumerate_ctv_binary,
     enumerate_cvc,
-    enumerate_cvr,
     generate,
     is_valid,
     oracle_enumerate,
@@ -85,25 +82,13 @@ def _campaign_instance(seed):
     return bt, vals, EnumParams(eps, mr, mc, bt)
 
 
-def _run_engine(bt, vals, params):
-    if bt == "ctv-binary":
-        return enumerate_ctv_binary(BinaryContext(vals), params.min_row, params.min_col)
-    if bt in ("cvc", "cvc-p"):
-        return enumerate_cvc(vals, params)
-    if bt == "cvr":
-        return enumerate_cvr(vals, params)
-    if bt == "chv-p":
-        return enumerate_chv_perfect(vals, params.min_row, params.min_col)
-    return enumerate_chv(vals, params)
-
-
 @pytest.fixture(scope="session")
 def campaign():
     t0 = time.perf_counter()
     records = []
     for seed in range(200):
         bt, vals, params = _campaign_instance(seed)
-        found = _run_engine(bt, vals, params)
+        found = ALGORITHMS[bt](vals, params)
         expected = oracle_enumerate(vals, params)
         records.append((seed, bt, vals, params, found, expected))
     return records, time.perf_counter() - t0

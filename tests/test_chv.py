@@ -59,31 +59,32 @@ def test_constant_rows_give_zero_augmented():
 
 
 def test_perfect_solution_of_running_example(table1):
-    sol = enumerate_chv_perfect(table1, min_row=2, min_col=3)
+    sol = enumerate_chv_perfect(table1, EnumParams(0.0, 2, 3, "chv-p"))
     assert sol.as_set() == {((0, 1), (1, 2, 3)), ((1, 2), (0, 2, 4))}
 
 
 def test_identical_rows_form_one_bicluster():
     mat = np.array([[1.0, 5.0, 2.0]] * 4)
-    sol = enumerate_chv_perfect(mat, min_row=1, min_col=2)
+    sol = enumerate_chv_perfect(mat, EnumParams(0.0, 1, 2, "chv-p"))
     assert sol.as_set() == {((0, 1, 2, 3), (0, 1, 2))}
 
 
 def test_perfect_needs_two_columns_minimum(table1):
     with pytest.raises(ValueError):
-        enumerate_chv_perfect(table1, min_row=1, min_col=1)
+        enumerate_chv_perfect(table1, EnumParams(0.0, 1, 1, "chv-p"))
 
 
 def test_perfect_transpose_symmetry():
     # size filters must be symmetric too (min_row = min_col), else the two
     # runs filter mirror-image biclusters differently
     rng = np.random.default_rng(31)
+    params = EnumParams(0.0, 2, 2, "chv-p")
     for _ in range(10):
         n, m = rng.integers(2, 7, size=2)
         mat = rng.integers(0, 4, size=(n, m)).astype(float)
-        direct = enumerate_chv_perfect(mat, 2, 2).as_set()
+        direct = enumerate_chv_perfect(mat, params).as_set()
         swapped = {
-            (c, r) for r, c in enumerate_chv_perfect(mat.T, 2, 2).as_set()
+            (c, r) for r, c in enumerate_chv_perfect(mat.T, params).as_set()
         }
         assert direct == swapped
 
@@ -96,8 +97,29 @@ def test_perfect_matches_oracle():
         mat = rng.integers(0, 4, size=(n, m)).astype(float)
         min_row = int(rng.integers(1, 3))
         params = EnumParams(0.0, min_row, 2, "chv-p")
-        found = enumerate_chv_perfect(mat, min_row, 2)
+        found = enumerate_chv_perfect(mat, params)
         assert found.as_set() == oracle_enumerate(mat, params).as_set()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a constant difference to the pivot column does not make every pairwise "
+    "difference constant in floating point",
+)
+def test_perfect_matches_oracle_on_decimal_values():
+    # both differences to column 0 are equal in the two rows, but the
+    # difference between columns 1 and 2 is not (-0.10000000000000003 vs -0.1)
+    mat = np.array([[7, 2, 3], [5, 0, 1]]) * 0.1
+    params = EnumParams(0.0, 1, 2, "chv-p")
+    found = enumerate_chv_perfect(mat, params)
+    assert found.as_set() == oracle_enumerate(mat, params).as_set()
+
+
+def test_perfect_node_count_is_pinned():
+    # pins the walk itself: a change that visits other nodes shows up here
+    mat = np.random.default_rng(7).integers(0, 3, size=(40, 8)).astype(float)
+    sol = enumerate_chv_perfect(mat, EnumParams(0.0, 3, 3, "chv-p"))
+    assert (sol.stats.nodes_expanded, len(sol)) == (476, 378)
 
 
 # ----------------------------------------------------- clique-based extraction
@@ -216,8 +238,8 @@ def test_scale_model_equals_shift_on_logs():
         scale = enumerate_chv(mat, EnumParams(1.0, 2, 2, "chv", model="scale"))
         shift = enumerate_chv(np.log(mat), EnumParams(1.0, 2, 2, "chv"))
         assert scale.as_set() == shift.as_set()
-        scale_p = enumerate_chv_perfect(mat, 2, 2, model="scale")
-        shift_p = enumerate_chv_perfect(np.log(mat), 2, 2)
+        scale_p = enumerate_chv_perfect(mat, EnumParams(0.0, 2, 2, "chv-p", model="scale"))
+        shift_p = enumerate_chv_perfect(np.log(mat), EnumParams(0.0, 2, 2, "chv-p"))
         assert scale_p.as_set() == shift_p.as_set()
 
 
@@ -228,5 +250,5 @@ def test_half_epsilon_on_integers_equals_perfect():
     for _ in range(10):
         mat = rng.integers(0, 5, size=(8, 5)).astype(float)
         half = enumerate_chv(mat, EnumParams(0.5, 2, 2, "chv"))
-        perfect = enumerate_chv_perfect(mat, 2, 2)
+        perfect = enumerate_chv_perfect(mat, EnumParams(0.0, 2, 2, "chv-p"))
         assert half.as_set() == perfect.as_set()

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import TABLE1
 
-from rinclose import save_matrix
+from rinclose import ALGORITHMS, EnumParams, enumerate_biclusters, save_matrix
 from rinclose.cli import main
+from rinclose.core import BIC_TYPES, PERFECT_TYPES
+from rinclose.io import solution_to_json
 
 WORKED_EXAMPLE = (
     '[{"rows":[0,1],"cols":[1,2,3,4]},'
@@ -159,3 +161,18 @@ def test_mine_all_algorithms_run(tmp_path, capsys):
         assert rc == 0, alg
         out, _ = capsys.readouterr()
         json.loads(out)  # well-formed result on every path
+
+
+def test_cli_and_library_share_one_dispatch_table(table1_csv, tmp_path, capsys):
+    assert set(ALGORITHMS) == BIC_TYPES
+    binary_csv = tmp_path / "binary.csv"
+    save_matrix(TABLE1 >= 2, binary_csv)  # ctv-binary needs a 0/1 matrix
+    for alg in ALGORITHMS:
+        mat, path = (TABLE1 >= 2, binary_csv) if alg == "ctv-binary" else (TABLE1, table1_csv)
+        params = EnumParams(0.0 if alg in PERFECT_TYPES else 1.0, 2, 2, alg)
+        rc = main(["mine", "--alg", alg, "--epsilon", str(params.epsilon),
+                   "--min-rows", "2", "--min-cols", "2", "--input", str(path)])
+        assert rc == 0, alg
+        out = capsys.readouterr().out
+        assert out == solution_to_json(enumerate_biclusters(mat, params)), alg
+        assert out != "[]\n", alg

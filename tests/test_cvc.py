@@ -12,40 +12,43 @@ from rinclose import (
     oracle_enumerate,
 )
 from rinclose.cvc import (
+    _canonical_fast,
+    _joinable_mask,
     _mine_cvc,
-    candidate_extents,
-    compute_rm,
-    is_canonical_cvc,
-    is_row_maximal_cvc,
+    _window_ends,
+    _window_starts,
 )
 
 # ---------------------------------------------------------------- windows
 
 
+def _windows(rows, eps):
+    """Maximal eps-windows of (row-id, value) pairs, cut the way the kernel cuts them."""
+    pairs = sorted(rows, key=lambda rv: (rv[1], rv[0]))
+    ids = [r for r, _ in pairs]
+    ends = _window_ends(np.array([v for _, v in pairs], dtype=np.float64), eps)
+    return [sorted(ids[p : ends[p]]) for p in _window_starts(ends)]
+
+
 def test_windows_all_equal_values():
     rows = [(0, 3.0), (1, 3.0), (2, 3.0)]
-    assert candidate_extents(rows, 0.0) == [[0, 1, 2]]
+    assert _windows(rows, 0.0) == [[0, 1, 2]]
 
 
 def test_windows_spread_values_become_singletons():
     rows = [(0, 0.0), (1, 2.0), (2, 4.0)]
-    assert candidate_extents(rows, 1.0) == [[0], [1], [2]]
+    assert _windows(rows, 1.0) == [[0], [1], [2]]
 
 
 def test_windows_on_pairwise_difference_column():
     # first pairwise-difference column of the running example: -1, 1, 0, -1
     rows = [(0, -1.0), (1, 1.0), (2, 0.0), (3, -1.0)]
-    assert candidate_extents(rows, 1.0) == [[0, 2, 3], [1, 2]]
-
-
-def test_windows_empty_input_rejected():
-    with pytest.raises(ValueError):
-        candidate_extents([], 0.0)
+    assert _windows(rows, 1.0) == [[0, 2, 3], [1, 2]]
 
 
 def test_windows_zero_epsilon_groups_equal_values():
     rows = [(0, 1.0), (1, 2.0), (2, 1.0), (3, 2.0), (4, 9.0)]
-    assert candidate_extents(rows, 0.0) == [[0, 2], [1, 3], [4]]
+    assert _windows(rows, 0.0) == [[0, 2], [1, 3], [4]]
 
 
 def test_windows_are_never_duplicated():
@@ -54,7 +57,7 @@ def test_windows_are_never_duplicated():
         n = int(rng.integers(1, 12))
         vals = rng.integers(0, 5, size=n).astype(float)
         eps = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-        wins = candidate_extents(list(enumerate(vals)), eps)
+        wins = _windows(list(enumerate(vals)), eps)
         keys = [tuple(w) for w in wins]
         assert len(set(keys)) == len(keys)
         # each window is valid and cannot be grown to another returned window
@@ -67,60 +70,84 @@ def test_windows_are_never_duplicated():
 # ---------------------------------------------------------------- canonicity
 
 
+def _canonical(values, rw, b, j, eps):
+    return _canonical_fast(np.asarray(values, dtype=float), np.asarray(rw, dtype=np.intp),
+                           set(b), j, eps)
+
+
 def test_canonical_no_earlier_attributes():
-    assert is_canonical_cvc([[5.0]], [0], [], 0, 0.0)
+    assert _canonical([[5.0]], [0], [], 0, 0.0)
 
 
 def test_canonical_on_running_example(table1):
     # no column before m5 is constant on g1,g2,g3
-    assert is_canonical_cvc(table1, [0, 1, 2], [], 4, 0.0)
+    assert _canonical(table1, [0, 1, 2], [], 4, 0.0)
     # but m1 is constant on g2,g3, so that extent belongs to an earlier subtree
-    assert not is_canonical_cvc(table1, [1, 2], [2], 4, 0.0)
+    assert not _canonical(table1, [1, 2], [2], 4, 0.0)
 
 
 def test_canonical_ignores_intent_columns(table1):
-    assert is_canonical_cvc(table1, [1, 2], [0, 1, 2, 3], 4, 1.0)
+    assert _canonical(table1, [1, 2], [0, 1, 2, 3], 4, 1.0)
 
 
 # ---------------------------------------------------------------- check set
 
 
-def _sorted_rows(values):
-    return sorted(enumerate(values), key=lambda rv: (rv[1], rv[0]))
+@pytest.fixture
+def rm_checks(monkeypatch):
+    """Record (child extent, check set RM) at every row-maximality test of the kernel."""
+    import rinclose.cvc
+
+    calls = []
+
+    def recording(values, extent, cols, cand_rows, eps):
+        calls.append((extent.tolist(), cand_rows.tolist()))
+        return _joinable_mask(values, extent, cols, cand_rows, eps)
+
+    monkeypatch.setattr(rinclose.cvc, "_joinable_mask", recording)
+    return calls
 
 
-def test_rm_band_keeps_reachable_rows_only():
-    # ten rows a..j by value; the window holds d..i, pivots are values 3 and 5
-    rows = _sorted_rows([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 5.0, 8.0])
-    rm = compute_rm(rows, (3, 9), min_row=2, epsilon=3.0)
-    assert rm == [0, 1, 2, 9]
+def test_rm_band_keeps_reachable_rows_only(rm_checks):
+    # ten rows a..j by value; the window d..i has pivots 3 and 5 at min_row 2,
+    # so RM holds a, b, c (>= 0) and j (<= 8), nothing else
+    col = np.array([[0.0], [1.0], [1.0], [2.0], [3.0], [4.0], [5.0], [5.0], [5.0], [8.0]])
+    _mine_cvc(col, 3.0, 2, 1)
+    assert ([3, 4, 5, 6, 7, 8], [0, 1, 2, 9]) in rm_checks
 
 
-def test_rm_whole_window_is_empty():
-    rows = _sorted_rows([1.0, 2.0, 3.0])
-    assert compute_rm(rows, (0, 3), 1, 10.0) == []
+def test_rm_whole_window_is_empty(rm_checks):
+    # a window covering the whole extent is absorbed, never branched on
+    pairs, _ = _mine_cvc(np.array([[1.0], [2.0], [3.0]]), 10.0, 1, 1)
+    assert pairs == [((0, 1, 2), (0,))]
+    assert rm_checks == []
 
 
-def test_rm_distinct_values_zero_epsilon():
-    rows = _sorted_rows([5.0, 5.0, 1.0, 9.0])
-    assert compute_rm(rows, (1, 3), 1, 0.0) == []
+def test_rm_distinct_values_zero_epsilon(rm_checks):
+    # at epsilon 0 the windows are disjoint value groups: no row is ever checked
+    pairs, _ = _mine_cvc(np.array([[5.0], [5.0], [1.0], [9.0]]), 0.0, 1, 1)
+    assert sorted(pairs) == [((0, 1), (0,)), ((2,), (0,)), ((3,), (0,))]
+    assert rm_checks == []
 
 
-def test_rm_window_shorter_than_min_row():
-    rows = _sorted_rows([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        compute_rm(rows, (0, 1), 2, 0.0)
+def test_rm_window_shorter_than_min_row(rm_checks):
+    # windows shorter than min_row are dropped before any RM is built
+    pairs, _ = _mine_cvc(np.array([[1.0], [2.0], [3.0]]), 0.5, 2, 1)
+    assert pairs == []
+    assert rm_checks == []
 
 
 def test_row_maximal_empty_check_set(table1):
-    assert is_row_maximal_cvc(table1, [0], [0], [], 0.0)
+    none = np.empty(0, dtype=np.intp)
+    assert not _joinable_mask(table1, np.array([0]), [0], none, 0.0).any()
 
 
 def test_row_maximal_on_running_example(table1):
+    g1g2, g3 = np.array([0, 1]), np.array([2])
     # g3 also has 6 in column m5, so {g1,g2} is completable
-    assert not is_row_maximal_cvc(table1, [0, 1], [4], [2], 0.0)
+    assert _joinable_mask(table1, g1g2, [4], g3, 0.0).any()
     # g3's m4 entry (7) is out of reach of values {0,1} at epsilon 1
-    assert is_row_maximal_cvc(table1, [0, 1], [3], [2], 1.0)
+    assert not _joinable_mask(table1, g1g2, [3], g3, 1.0).any()
 
 
 # ---------------------------------------------------------------- registry
@@ -181,12 +208,14 @@ def test_single_column_matrix():
 
 
 def test_perfect_equals_perturbed_at_zero_epsilon():
+    # on integers an epsilon of 0.5 admits only equal values, so the walk
+    # with registry and RM switched on must find what the epsilon-0 walk finds
     rng = np.random.default_rng(3)
     for _ in range(25):
         n, m = rng.integers(2, 9, size=2)
         vals = rng.integers(0, 4, size=(n, m)).astype(float)
-        a, _ = _mine_cvc(vals, 0.0, 1, 1, perfect=True)
-        b, _ = _mine_cvc(vals, 0.0, 1, 1, perfect=False)
+        a, _ = _mine_cvc(vals, 0.0, 1, 1)
+        b, _ = _mine_cvc(vals, 0.5, 1, 1)
         assert set(a) == set(b)
 
 
@@ -235,8 +264,8 @@ def test_outputs_are_valid_and_maximal():
 
 def test_registry_off_yields_only_duplicates():
     vals = np.random.default_rng(0).integers(0, 6, size=(10, 5)).astype(float)
-    base, _ = _mine_cvc(vals, 1.0, 1, 1, perfect=False)
-    raw, _ = _mine_cvc(vals, 1.0, 1, 1, perfect=False, use_registry=False)
+    base, _ = _mine_cvc(vals, 1.0, 1, 1)
+    raw, _ = _mine_cvc(vals, 1.0, 1, 1, use_registry=False)
     assert len(set(base)) == len(base)
     assert len(set(raw)) < len(raw)  # there really were repeats to suppress
     assert set(raw) == set(base)
@@ -245,8 +274,8 @@ def test_registry_off_yields_only_duplicates():
 def test_rm_off_leaks_only_dominated_pairs():
     vals = np.random.default_rng(0).integers(0, 6, size=(10, 5)).astype(float)
     params = EnumParams(1.0, 1, 1, "cvc")
-    base, _ = _mine_cvc(vals, 1.0, 1, 1, perfect=False)
-    leaky, _ = _mine_cvc(vals, 1.0, 1, 1, perfect=False, use_rm=False)
+    base, _ = _mine_cvc(vals, 1.0, 1, 1)
+    leaky, _ = _mine_cvc(vals, 1.0, 1, 1, use_rm=False)
     extras = set(leaky) - set(base)
     assert set(base) <= set(leaky)
     assert extras  # the check set really pruned something

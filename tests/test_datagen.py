@@ -147,7 +147,7 @@ def test_truth_params_name_the_pattern():
 def test_noiseless_roundtrip_chv():
     cfg = small_config(seed=3)
     mat, truth = generate(cfg)
-    found = enumerate_chv_perfect(mat, cfg.bic_rows, cfg.bic_cols)
+    found = enumerate_chv_perfect(mat, EnumParams(0.0, cfg.bic_rows, cfg.bic_cols, "chv-p"))
     assert precision_recall(found.biclusters, truth.biclusters, cfg.n, cfg.m) == (1.0, 1.0)
     assert found.as_set() == truth.as_set()
 
