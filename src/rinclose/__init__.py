@@ -3,17 +3,17 @@
 Supported homogeneity types: constant ones on binary data (``ctv-binary``),
 constant columns/rows with residue epsilon (``cvc``/``cvr``, perfect variants
 ``cvc-p``/``cvr-p``), and additive or multiplicative coherence
-(``chv``/``chv-p`` with ``model="shift"``/``"scale"``).  Every enumerator
+(``chv``/``chv-p`` with ``model="shift"``/``"scale"``).
+
+``enumerate_biclusters(matrix, params)`` is the one mining entry point: it
 returns the exact set of maximal biclusters meeting the size filters, each
-one exactly once.
+one exactly once, in canonical order.  ``ALGORITHMS`` is its dispatch table
+from bic type to a private miner working on the plain value array.
 """
 
-from .chv import (
-    AugmentedMatrix,
-    build_augmented,
-    enumerate_chv,
-    enumerate_chv_perfect,
-)
+import time
+
+from .chv import AugmentedMatrix, _chv, _chv_perfect, build_augmented
 from .core import (
     Bicluster,
     BiclusterSolution,
@@ -27,9 +27,9 @@ from .core import (
     transform_for_model,
     transpose,
 )
-from .cvc import ExtentRegistry, enumerate_cvc, enumerate_cvr
+from .cvc import _cvc, _cvr
 from .datagen import GenConfig, generate
-from .inclose2 import BinaryContext, enumerate_ctv_binary
+from .inclose2 import BinaryContext, _ctv_binary
 from .io import load_matrix, load_solution, save_matrix, save_solution
 from .metrics import SolutionReport, overlap, precision_recall, solution_report
 from .oracle import oracle_enumerate
@@ -37,21 +37,35 @@ from .oracle import oracle_enumerate
 __version__ = "0.1.0"
 
 
-# bic type -> enumerator; every enumerator is (matrix, params) -> BiclusterSolution
+# bic type -> private miner: (values in model space, params) -> ((rows, cols) pairs, nodes)
 ALGORITHMS = {
-    "ctv-binary": enumerate_ctv_binary,
-    "cvc-p": enumerate_cvc,
-    "cvc": enumerate_cvc,
-    "cvr-p": enumerate_cvr,
-    "cvr": enumerate_cvr,
-    "chv-p": enumerate_chv_perfect,
-    "chv": enumerate_chv,
+    "ctv-binary": _ctv_binary,
+    "cvc-p": _cvc,
+    "cvc": _cvc,
+    "cvr-p": _cvr,
+    "cvr": _cvr,
+    "chv-p": _chv_perfect,
+    "chv": _chv,
 }
 
 
 def enumerate_biclusters(matrix, params: EnumParams) -> BiclusterSolution:
-    """Run the enumerator for ``params.bic_type``."""
-    return ALGORITHMS[params.bic_type](matrix, params)
+    """All maximal biclusters of type ``params.bic_type`` meeting the size filters.
+
+    Each bicluster appears exactly once, in the canonical order of
+    ``sort_biclusters``.  The matrix is mapped into model space first
+    (``scale`` takes logs), and the stats carry the node count and the wall
+    time of the whole call.
+    """
+    t0 = time.perf_counter()
+    values = transform_for_model(matrix, params.model).values
+    pairs, nodes = ALGORITHMS[params.bic_type](values, params)
+    bics = sort_biclusters(Bicluster(rows, cols) for rows, cols in pairs)
+    return BiclusterSolution(
+        biclusters=bics,
+        params=params,
+        stats=SolutionStats(len(bics), nodes, time.perf_counter() - t0),
+    )
 
 
 __all__ = [
@@ -61,7 +75,6 @@ __all__ = [
     "BiclusterSolution",
     "BinaryContext",
     "EnumParams",
-    "ExtentRegistry",
     "GenConfig",
     "NumericMatrix",
     "SolutionReport",
@@ -69,11 +82,6 @@ __all__ = [
     "as_matrix",
     "build_augmented",
     "enumerate_biclusters",
-    "enumerate_chv",
-    "enumerate_chv_perfect",
-    "enumerate_ctv_binary",
-    "enumerate_cvc",
-    "enumerate_cvr",
     "generate",
     "is_maximal",
     "is_valid",

@@ -26,26 +26,20 @@ up as constant-column structure; the pipeline is
    maximal cliques; a candidate survives if it uses the whole vertex set or
    no further row fits its extent, and a registry drops repeats arising from
    different step-2 biclusters.
+
+The miners ``_chv_perfect`` and ``_chv`` take the value array in model space
+and return (rows, cols) pairs and the node count; ``enumerate_biclusters``
+owns the model transform, the timing, the sort and the stats.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cliques import UndirectedGraph, maximal_cliques
-from .core import (
-    Bicluster,
-    BiclusterSolution,
-    EnumParams,
-    NumericMatrix,
-    SolutionStats,
-    as_matrix,
-    sort_biclusters,
-    transform_for_model,
-)
+from .core import Bicluster, EnumParams
 from .cvc import _mine_cvc
 
 
@@ -53,61 +47,39 @@ from .cvc import _mine_cvc
 class AugmentedMatrix:
     """All pairwise column differences of a matrix, one column per ordered pair.
 
-    Column k holds d_ij - d_il for the k-th pair (j, l), j < l, pairs in
-    lexicographic order (0,1), (0,2), ..., (0,m-1), (1,2), ...
+    Column k of ``values`` holds d_ij - d_il for the pair (j, l) = ``pairs[k]``,
+    j < l, pairs in lexicographic order (0,1), (0,2), ..., (0,m-1), (1,2), ...
     """
 
-    matrix: NumericMatrix
+    values: np.ndarray
     pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.values
 
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)
-
-    def pair_of(self, k: int) -> tuple[int, int]:
-        """The ordered pair (j, l) of original columns behind column k."""
-        return self.pairs[k]
-
-    def col_of(self, j: int, l: int) -> int:
-        """Index of the column holding the (j, l) difference, j < l."""
-        m = self._n_source_cols
-        if not 0 <= j < l < m:
-            raise ValueError(f"need 0 <= j < l < {m}, got ({j}, {l})")
-        return j * (2 * m - j - 1) // 2 + (l - j - 1)
-
-    @property
-    def _n_source_cols(self) -> int:
-        return self.pairs[-1][1] + 1
-
-
-def build_augmented(matrix) -> AugmentedMatrix:
-    """The n x m(m-1)/2 matrix of all pairwise column differences."""
-    mat = as_matrix(matrix)
-    m = mat.n_cols
+def build_augmented(values: np.ndarray) -> AugmentedMatrix:
+    """The n x m(m-1)/2 matrix of all pairwise column differences (read-only)."""
+    n, m = values.shape
     if m < 2:
         raise ValueError("augmented matrix requires at least 2 columns")
+    out = np.empty((n, m * (m - 1) // 2))
+    k = 0
+    for j in range(m - 1):  # one pivot block: pairs (j, j+1), ..., (j, m-1)
+        np.subtract(values[:, [j]], values[:, j + 1 :], out=out[:, k : k + m - 1 - j])
+        k += m - 1 - j
+    if not np.isfinite(out).all():
+        raise ValueError("pairwise column differences overflow to non-finite values")
+    out.setflags(write=False)
     pairs = tuple((j, l) for j in range(m) for l in range(j + 1, m))
-    cols = [mat.values[:, j] - mat.values[:, l] for j, l in pairs]
-    return AugmentedMatrix(matrix=NumericMatrix(np.column_stack(cols)), pairs=pairs)
+    return AugmentedMatrix(values=out, pairs=pairs)
 
 
-def enumerate_chv_perfect(matrix, params: EnumParams) -> BiclusterSolution:
-    """All maximal perfect shifting biclusters, each exactly once.
+def _chv_perfect(values: np.ndarray, params: EnumParams):
+    """Miner for ``chv-p``: one kernel walk per pivot column.
 
-    One kernel walk per pivot column: the pivot is the smallest column of
-    every intent found under it, and only later columns are scanned.  A pivot
-    whose difference with some earlier column is constant over all rows is
-    skipped outright — every bicluster under it would repeat an earlier
-    pivot's subtree.
+    The pivot is the smallest column of every intent found under it, and only
+    later columns are scanned.  A pivot whose difference with some earlier
+    column is constant over all rows is skipped outright — every bicluster
+    under it would repeat an earlier pivot's subtree.
     """
-    if params.bic_type != "chv-p":
-        raise ValueError(f"enumerate_chv_perfect expects bic_type chv-p, got {params.bic_type!r}")
-    t0 = time.perf_counter()
-    values = transform_for_model(matrix, params.model).values
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
     for atr in range(values.shape[1] - 1):
@@ -117,11 +89,7 @@ def enumerate_chv_perfect(matrix, params: EnumParams) -> BiclusterSolution:
         pairs, k = _mine_cvc(z, 0.0, params.min_row, params.min_col, root=(atr,))
         out += pairs
         nodes += k
-    return BiclusterSolution(
-        biclusters=sort_biclusters(Bicluster(r, c) for r, c in out),
-        params=params,
-        stats=SolutionStats(len(out), nodes, time.perf_counter() - t0),
-    )
+    return out, nodes
 
 
 def clique_candidates(
@@ -135,7 +103,7 @@ def clique_candidates(
     Returns (C, D) for every maximal clique D with |D| >= min_col, before any
     row-maximality filtering.
     """
-    pair_set = [aug.pair_of(k) for k in cvc_bic.cols]
+    pair_set = [aug.pairs[k] for k in cvc_bic.cols]
     b2 = sorted({c for pr in pair_set for c in pr})
     index = {c: i for i, c in enumerate(b2)}
     graph = UndirectedGraph(len(b2), [(index[j], index[l]) for j, l in pair_set])
@@ -170,19 +138,18 @@ def _row_maximal_full(
 def extract_chv_from_cvc(
     cvc_bic: Bicluster,
     aug: AugmentedMatrix,
-    matrix,
+    values: np.ndarray,
     epsilon: float,
     min_col: int,
     emitted: set[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> list[Bicluster]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Shifting biclusters contributed by one augmented-matrix bicluster.
 
     Each clique candidate (C, D) is kept iff D covers the whole vertex set B2
     or no row outside C fits every column pair of D; ``emitted`` deduplicates
     identical results arising from different source biclusters.
     """
-    values = as_matrix(matrix).values
-    b2 = tuple(sorted({c for k in cvc_bic.cols for c in aug.pair_of(k)}))
+    b2 = tuple(sorted({c for k in cvc_bic.cols for c in aug.pairs[k]}))
     kept = []
     for c_rows, d in clique_candidates(cvc_bic, aug, min_col):
         if d != b2 and not _row_maximal_full(values, c_rows, d, epsilon):
@@ -191,33 +158,21 @@ def extract_chv_from_cvc(
         if key in emitted:
             continue
         emitted.add(key)
-        kept.append(Bicluster(c_rows, d))
+        kept.append(key)
     return kept
 
 
-def enumerate_chv(matrix, params: EnumParams) -> BiclusterSolution:
-    """All maximal perturbed shifting biclusters, each exactly once."""
-    if params.bic_type != "chv":
-        raise ValueError(f"enumerate_chv expects bic_type chv, got {params.bic_type!r}")
-    t0 = time.perf_counter()
-    mat = transform_for_model(matrix, params.model)
-    if mat.n_cols < 2:
-        return BiclusterSolution(
-            biclusters=(), params=params, stats=SolutionStats(0, 0, time.perf_counter() - t0)
-        )
-    aug = build_augmented(mat)
+def _chv(values: np.ndarray, params: EnumParams):
+    """Miner for ``chv``: walk the augmented matrix, then extract from each result."""
+    if values.shape[1] < 2:
+        return [], 0
+    aug = build_augmented(values)
     min_pairs = params.min_col * (params.min_col - 1) // 2
     pairs, nodes = _mine_cvc(aug.values, params.epsilon, params.min_row, min_pairs)
     emitted: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    out: list[Bicluster] = []
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for rows, cols in pairs:
-        out.extend(
-            extract_chv_from_cvc(
-                Bicluster(rows, cols), aug, mat, params.epsilon, params.min_col, emitted
-            )
+        out += extract_chv_from_cvc(
+            Bicluster(rows, cols), aug, values, params.epsilon, params.min_col, emitted
         )
-    return BiclusterSolution(
-        biclusters=sort_biclusters(out),
-        params=params,
-        stats=SolutionStats(len(out), nodes, time.perf_counter() - t0),
-    )
+    return out, nodes

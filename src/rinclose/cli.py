@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 
-from . import ALGORITHMS
+from . import ALGORITHMS, enumerate_biclusters
 from . import io as rio
 from .core import BIC_TYPES, EnumParams
 from .datagen import PATTERNS, GenConfig, generate
@@ -120,7 +120,7 @@ def _cmd_mine(args, parser: argparse.ArgumentParser) -> int:
             log.info("oracle:%s is experimental test tooling (brute force)", oracle_type)
             sol = oracle_enumerate(matrix, params)
         else:
-            sol = ALGORITHMS[alg](matrix, params)
+            sol = enumerate_biclusters(matrix, params)
     except (OSError, ValueError) as exc:
         log.error("error: %s", exc)
         return 1

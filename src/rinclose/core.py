@@ -139,6 +139,8 @@ class EnumParams:
             )
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        if self.bic_type == "ctv-binary" and self.model != "shift":
+            raise ValueError("bic_type 'ctv-binary' mines 0/1 cells as given; use model 'shift'")
         if not (self.epsilon >= 0.0) or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be a finite nonnegative real, got {self.epsilon}")
         if self.min_row < 1 or self.min_col < 1:

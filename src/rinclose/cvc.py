@@ -25,29 +25,23 @@ With epsilon = 0 the windows are the equal-value groups, which are disjoint,
 so none of the three guards beyond canonicity is needed: the kernel runs the
 registry and RM only when epsilon > 0, and at epsilon = 0 it is the perfect
 variant.  Their off-switches are private to the kernel, for the tests that
-show each guard is needed.
+show each guard is needed.  The registry is a plain set of extent bytes.
 
 This walk is the one numeric kernel: ``cvr`` reaches it through the
 transpose, ``chv-p`` through one pivot-difference matrix per pivot column
-(see ``chv``), and ``chv`` through the augmented matrix.
+(see ``chv``), and ``chv`` through the augmented matrix.  The miners here
+(``_cvc``, ``_cvr``) map params onto the kernel's arguments and return its
+(rows, cols) pairs and node count; ``enumerate_biclusters`` owns the model
+transform, the timing, the sort and the stats.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Bicluster,
-    BiclusterSolution,
-    EnumParams,
-    SolutionStats,
-    sort_biclusters,
-    transform_for_model,
-    transpose,
-)
+from .core import EnumParams
 
 
 def _window_ends(sv: np.ndarray, eps: float) -> np.ndarray:
@@ -95,42 +89,6 @@ def _joinable_mask(
     return ((cv - cmin) <= eps).all(axis=1) & ((cmax - cv) <= eps).all(axis=1)
 
 
-class ExtentRegistry:
-    """Membership set over canonical extent encodings with insert-if-absent.
-
-    Only extents of children that were actually created may be inserted: an
-    extent killed by a row-maximality check must stay out, because the same
-    row set can reappear later under a stronger intent that no tracked row
-    can join, and that later child is the one that emits the bicluster.
-    """
-
-    __slots__ = ("_seen",)
-
-    def __init__(self) -> None:
-        self._seen: set[bytes] = set()
-
-    @staticmethod
-    def key(extent: Sequence[int]) -> bytes:
-        arr = np.asarray(sorted(extent), dtype=np.int64)
-        return arr.tobytes()
-
-    def contains(self, extent: Sequence[int]) -> bool:
-        return self.key(extent) in self._seen
-
-    __contains__ = contains
-
-    def insert(self, extent: Sequence[int]) -> bool:
-        """Insert the extent; True if it was new, False if already present."""
-        k = self.key(extent)
-        if k in self._seen:
-            return False
-        self._seen.add(k)
-        return True
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-
 def _canonical_fast(values: np.ndarray, rw: np.ndarray, bset: set[int], j: int, eps: float) -> bool:
     """Vectorized canonicity scan over attributes < j outside the intent."""
     ks = [k for k in range(j) if k not in bset]
@@ -163,7 +121,11 @@ def _mine_cvc(
     attribute.
     """
     n, m = values.shape
-    registry = ExtentRegistry() if (use_registry and eps > 0) else None
+    # extents of the children created so far; an extent killed by the RM
+    # check must stay out, because the same rows can reappear later under a
+    # stronger intent that no tracked row can join, and that later child is
+    # the one that emits the bicluster
+    seen: set[bytes] | None = set() if use_registry and eps > 0 else None
     track_rm = use_rm and eps > 0
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
@@ -203,7 +165,7 @@ def _mine_cvc(
                 rw = np.sort(sids[p:e])
                 if not _canonical_fast(values, rw, bset, j, eps):
                     continue
-                if registry is not None and registry.contains(rw):
+                if seen is not None and rw.tobytes() in seen:
                     continue
                 child_rm = rm
                 if track_rm:
@@ -219,8 +181,8 @@ def _mine_cvc(
                         values, rw, intent + [j], child_rm, eps
                     ).any():
                         continue  # some tracked row completes it: not row-maximal
-                if registry is not None:
-                    registry.insert(rw)
+                if seen is not None:
+                    seen.add(rw.tobytes())
                 children.append((rw, j, child_rm))
         if not pruned and len(a) >= min_row and len(intent) >= min_col:
             out.append((tuple(int(r) for r in a), tuple(sorted(intent))))
@@ -229,37 +191,14 @@ def _mine_cvc(
     return out, nodes
 
 
-def enumerate_cvc(matrix, params: EnumParams) -> BiclusterSolution:
-    """All maximal constant-column biclusters meeting the size filters, each once.
-
-    params.bic_type selects the variant: "cvc-p" (epsilon = 0) or "cvc".
-    """
-    if params.bic_type not in ("cvc", "cvc-p"):
-        raise ValueError(f"enumerate_cvc expects bic_type cvc or cvc-p, got {params.bic_type!r}")
-    t0 = time.perf_counter()
-    mat = transform_for_model(matrix, params.model)
-    pairs, nodes = _mine_cvc(mat.values, params.epsilon, params.min_row, params.min_col)
-    return BiclusterSolution(
-        biclusters=sort_biclusters(Bicluster(r, c) for r, c in pairs),
-        params=params,
-        stats=SolutionStats(len(pairs), nodes, time.perf_counter() - t0),
-    )
+def _cvc(values: np.ndarray, params: EnumParams):
+    """Miner for ``cvc``/``cvc-p``: the kernel under the caller's filters."""
+    return _mine_cvc(values, params.epsilon, params.min_row, params.min_col)
 
 
-def enumerate_cvr(matrix, params: EnumParams) -> BiclusterSolution:
-    """Constant-row mining: transpose, mine constant columns, swap back."""
-    if params.bic_type not in ("cvr", "cvr-p"):
-        raise ValueError(f"enumerate_cvr expects bic_type cvr or cvr-p, got {params.bic_type!r}")
-    inner = EnumParams(
-        params.epsilon,
-        params.min_col,
-        params.min_row,
-        "cvc" if params.bic_type == "cvr" else "cvc-p",
+def _cvr(values: np.ndarray, params: EnumParams):
+    """Miner for ``cvr``/``cvr-p``: constant columns of the transpose, swapped back."""
+    pairs, nodes = _mine_cvc(
+        np.ascontiguousarray(values.T), params.epsilon, params.min_col, params.min_row
     )
-    # transform first (under the caller's model), then mine the transpose in shift space
-    sol = enumerate_cvc(transpose(transform_for_model(matrix, params.model)), inner)
-    return BiclusterSolution(
-        biclusters=sort_biclusters(b.swapped() for b in sol.biclusters),
-        params=params,
-        stats=SolutionStats(len(sol.biclusters), sol.stats.nodes_expanded, sol.stats.elapsed_s),
-    )
+    return [(cols, rows) for rows, cols in pairs], nodes

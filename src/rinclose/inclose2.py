@@ -10,37 +10,27 @@ it passes the canonicity test (no earlier non-intent attribute covers it —
 that child belongs to an earlier subtree).  Children inherit the parent's
 fully closed intent without recomputation.
 
-Extents are manipulated as row bitmasks.
+Extents are manipulated as row bitmasks.  The miner ``_ctv_binary`` takes
+the value array and returns (rows, cols) pairs and the node count;
+``enumerate_biclusters`` owns the timing, the sort and the stats.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .cliques import _bits
-from .core import (
-    Bicluster,
-    BiclusterSolution,
-    EnumParams,
-    SolutionStats,
-    as_matrix,
-    sort_biclusters,
-)
+from .core import EnumParams
 
 
 class BinaryContext:
     """A 0/1 matrix with per-column row bitmasks (rows = objects, cols = attributes)."""
 
-    __slots__ = ("matrix", "n", "m", "col_masks")
+    __slots__ = ("n", "m", "col_masks")
 
-    def __init__(self, matrix) -> None:
-        mat = as_matrix(matrix)
-        values = mat.values
+    def __init__(self, values: np.ndarray) -> None:
         if not np.isin(values, (0.0, 1.0)).all():
             raise ValueError("binary context requires every entry to be 0 or 1")
-        self.matrix = mat
         self.n, self.m = values.shape
         self.col_masks = [
             int.from_bytes(np.packbits(values[:, c] == 1.0, bitorder="little").tobytes(), "little")
@@ -48,24 +38,19 @@ class BinaryContext:
         ]
 
 
-def enumerate_ctv_binary(matrix, params: EnumParams) -> BiclusterSolution:
-    """All formal concepts (A, B) with |A| >= min_row and |B| >= min_col.
+def _ctv_binary(values: np.ndarray, params: EnumParams):
+    """Miner for ``ctv-binary``: all formal concepts (A, B) with |A| >= min_row, |B| >= min_col.
 
     A node is abandoned (no emission, attribute scan stopped) as soon as its
     intent cannot reach min_col even if every remaining attribute were added;
     children created before that point are still explored, since they keep
     their own chances from their earlier branch attributes.
     """
-    if params.bic_type != "ctv-binary":
-        raise ValueError(
-            f"enumerate_ctv_binary expects bic_type ctv-binary, got {params.bic_type!r}"
-        )
-    t0 = time.perf_counter()
-    context = BinaryContext(matrix)
+    context = BinaryContext(values)
     m, col_masks = context.m, context.col_masks
     min_row, min_col = params.min_row, params.min_col
     full = (1 << context.n) - 1
-    out: list[Bicluster] = []
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
     # stack entries: (extent mask, inherited intent (sorted tuple), start attribute)
     stack: list[tuple[int, tuple[int, ...], int]] = [(full, (), 0)]
@@ -94,11 +79,7 @@ def enumerate_ctv_binary(matrix, params: EnumParams) -> BiclusterSolution:
                 ):
                     children.append((rw, j))
         if not pruned and a_mask.bit_count() >= min_row and len(intent) >= min_col:
-            out.append(Bicluster(tuple(_bits(a_mask)), intent))
+            out.append((tuple(_bits(a_mask)), tuple(sorted(intent))))
         for rw, j in reversed(children):
             stack.append((rw, tuple(sorted(intent + [j])), j + 1))
-    return BiclusterSolution(
-        biclusters=sort_biclusters(out),
-        params=params,
-        stats=SolutionStats(len(out), nodes, time.perf_counter() - t0),
-    )
+    return out, nodes

@@ -8,7 +8,6 @@ same schema for mined output, ground truth and evaluation input.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 import numpy as np
 
@@ -24,42 +23,30 @@ def _sniff_delimiter(sample: str) -> str | None:
     return None
 
 
-def load_matrix(path, *, delimiter: str | None = None, header: bool = False) -> NumericMatrix:
+def load_matrix(path) -> NumericMatrix:
     """Load a dense numeric matrix from a CSV/TSV/whitespace text file.
 
-    Parameters
-    ----------
-    path : path-like
-    delimiter : str, optional
-        Cell separator; sniffed from the first line when omitted.
-    header : bool
-        Skip the first line if True.
+    The cell separator is sniffed from the first line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         sample = fh.read(4096)
-    if delimiter is None:
-        delimiter = _sniff_delimiter(sample)
     try:
-        arr = np.loadtxt(path, delimiter=delimiter, skiprows=1 if header else 0, ndmin=2)
+        arr = np.loadtxt(path, delimiter=_sniff_delimiter(sample), ndmin=2)
     except ValueError as exc:
         raise ValueError(f"could not parse numeric matrix from {path}: {exc}") from None
     return NumericMatrix(arr)
 
 
-def save_matrix(matrix, path, *, delimiter: str = ",") -> None:
-    """Write a matrix as delimited text with full float round-trip precision."""
+def save_matrix(matrix, path) -> None:
+    """Write a matrix as comma-separated text with full float round-trip precision."""
     mat = as_matrix(matrix)
-    np.savetxt(path, mat.values, delimiter=delimiter, fmt="%.17g")
-
-
-def biclusters_to_obj(bics: Iterable[Bicluster]) -> list[dict]:
-    return [b.to_dict() for b in bics]
+    np.savetxt(path, mat.values, delimiter=",", fmt="%.17g")
 
 
 def solution_to_json(solution) -> str:
     """Serialize a solution (or plain list of biclusters) deterministically."""
     bics = solution.biclusters if isinstance(solution, BiclusterSolution) else tuple(solution)
-    return json.dumps(biclusters_to_obj(bics), separators=(",", ":")) + "\n"
+    return json.dumps([b.to_dict() for b in bics], separators=(",", ":")) + "\n"
 
 
 def save_solution(solution, path) -> None:

@@ -17,11 +17,6 @@ import numpy as np
 from .core import Bicluster
 
 
-def volume(bic: Bicluster) -> int:
-    """Number of cells |rows| * |cols|."""
-    return bic.volume
-
-
 def overlap(b1: Bicluster, b2: Bicluster) -> float:
     """Shared cells normalized by the smaller volume; in [0, 1]."""
     shared = len(set(b1.rows) & set(b2.rows)) * len(set(b1.cols) & set(b2.cols))

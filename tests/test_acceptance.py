@@ -15,13 +15,11 @@ import pytest
 from conftest import TABLE1, TABLE2
 
 from rinclose import (
-    ALGORITHMS,
     Bicluster,
     EnumParams,
     GenConfig,
     build_augmented,
-    enumerate_chv,
-    enumerate_cvc,
+    enumerate_biclusters,
     generate,
     is_valid,
     oracle_enumerate,
@@ -88,7 +86,7 @@ def campaign():
     records = []
     for seed in range(200):
         bt, vals, params = _campaign_instance(seed)
-        found = ALGORITHMS[bt](vals, params)
+        found = enumerate_biclusters(vals, params)
         expected = oracle_enumerate(vals, params)
         records.append((seed, bt, vals, params, found, expected))
     return records, time.perf_counter() - t0
@@ -183,7 +181,7 @@ def test_planted_bicluster_recovery():
             if max(truth.stats.extras["planted_residues"]) > epsilon:
                 continue
             t0 = time.perf_counter()
-            found = enumerate_chv(mat, EnumParams(epsilon, 50, 6, "chv"))
+            found = enumerate_biclusters(mat, EnumParams(epsilon, 50, 6, "chv"))
             elapsed = time.perf_counter() - t0
             prec, rec = precision_recall(
                 found.biclusters, truth.biclusters, cfg.n, cfg.m
@@ -204,7 +202,7 @@ def test_coverage_monotone_in_epsilon():
             cov_prev = -1
             for eps in (0.0, 0.5, 1.0, 2.0):
                 bt = "cvc-p" if eps == 0.0 else "cvc"
-                sol = enumerate_cvc(vals, EnumParams(eps, 2, 1, bt))
+                sol = enumerate_biclusters(vals, EnumParams(eps, 2, 1, bt))
                 cov = solution_report(sol.biclusters, 12, 8).coverage_cells
                 assert cov >= cov_prev
                 cov_prev = cov
@@ -217,8 +215,8 @@ def test_chv_symmetry_under_transposition():
         for _ in range(20):
             n, m = rng.integers(2, 8, size=2)
             vals = rng.integers(0, 4, size=(n, m)).astype(float)
-            direct = enumerate_chv(vals, params).as_set()
-            swapped = {(c, r) for r, c in enumerate_chv(vals.T, params).as_set()}
+            direct = enumerate_biclusters(vals, params).as_set()
+            swapped = {(c, r) for r, c in enumerate_biclusters(vals.T, params).as_set()}
             assert direct == swapped
 
 
@@ -227,8 +225,8 @@ def test_scale_model_equals_shift_on_logs():
         rng = np.random.default_rng(88)
         for _ in range(10):
             vals = rng.uniform(0.1, 10.0, size=(7, 5))
-            scale = enumerate_chv(vals, EnumParams(1.0, 2, 2, "chv", model="scale"))
-            shift = enumerate_chv(np.log(vals), EnumParams(1.0, 2, 2, "chv"))
+            scale = enumerate_biclusters(vals, EnumParams(1.0, 2, 2, "chv", model="scale"))
+            shift = enumerate_biclusters(np.log(vals), EnumParams(1.0, 2, 2, "chv"))
             assert scale.as_set() == shift.as_set()
 
 
@@ -240,7 +238,7 @@ def test_large_matrix_completes_quickly():
         )
         mat, truth = generate(cfg)
         t0 = time.perf_counter()
-        found = enumerate_cvc(mat, EnumParams(0.1, 200, 6, "cvc"))
+        found = enumerate_biclusters(mat, EnumParams(0.1, 200, 6, "cvc"))
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0
         prec, rec = precision_recall(found.biclusters, truth.biclusters, cfg.n, cfg.m)

@@ -70,6 +70,15 @@ def test_bad_epsilon_type_combo_is_a_usage_error(table1_csv, capsys):
     assert "cvc-p" in capsys.readouterr().err
 
 
+def test_ctv_binary_with_scale_model_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "ones.csv"
+    save_matrix(np.ones((3, 3)), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "--alg", "ctv-binary", "--model", "scale", "--input", str(path)])
+    assert exc.value.code == 2
+    assert "ctv-binary" in capsys.readouterr().err
+
+
 def test_unknown_alg_is_a_usage_error(table1_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mine", "--alg", "ctv", "--input", table1_csv])

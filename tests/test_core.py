@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from rinclose import (
     EnumParams,
     NumericMatrix,
     as_matrix,
+    enumerate_biclusters,
     is_maximal,
     is_valid,
     transform_for_model,
     transpose,
 )
+from rinclose.core import BIC_TYPES
+from rinclose.io import solution_to_json
 
 
 def test_matrix_basic_shape():
@@ -109,6 +114,14 @@ def test_params_perturbed_types_need_positive_epsilon():
         EnumParams(0.0, 1, 1, "cvc")
     with pytest.raises(ValueError, match="'cvr-p'"):
         EnumParams(0.0, 1, 1, "cvr")
+
+
+def test_params_ctv_binary_takes_no_scale_model():
+    # the binary walk reads 0/1 cells as given, while is_valid and the oracle
+    # would take logs first, so the two could never agree under "scale"
+    EnumParams(0.0, 1, 1, "ctv-binary", "shift")  # fine
+    with pytest.raises(ValueError, match="ctv-binary"):
+        EnumParams(0.0, 1, 1, "ctv-binary", "scale")
 
 
 def test_params_chv_needs_two_columns():
@@ -231,3 +244,50 @@ def test_full_matrix_maximal_with_huge_epsilon():
     mat = [[3.0, 0.0], [5.0, 9.0]]
     p = EnumParams(100.0, 1, 1, "cvc")
     assert is_maximal(mat, Bicluster([0, 1], [0, 1]), p)
+
+
+def _ints(seed, hi, shape):
+    return np.random.default_rng(seed).integers(0, hi, size=shape).astype(float)
+
+
+# bic type -> (matrix, params, (nodes expanded, biclusters, SHA-256 of the JSON))
+PINNED_RUNS = {
+    "ctv-binary": (
+        _ints(1, 2, (30, 12)), EnumParams(0.0, 2, 2, "ctv-binary"),
+        (399, 387, "1017b7123c8972a6e85b43eab19bc2e9945e12c2f387c2f5b3b6a23c6382cc37"),
+    ),
+    "cvc-p": (
+        _ints(2, 4, (30, 10)), EnumParams(0.0, 3, 2, "cvc-p"),
+        (226, 189, "3601d01a300ae2549a3ef286a2a247288d3d3ad70f9ea3d0b75e7fe65fd3985d"),
+    ),
+    "cvc": (
+        _ints(3, 7, (30, 8)), EnumParams(1.0, 3, 2, "cvc"),
+        (458, 415, "c836c5f8a718b9a5cd1aa121d666152d97030227d7a2b105cdb08feef5875117"),
+    ),
+    "cvr-p": (
+        _ints(4, 4, (10, 30)), EnumParams(0.0, 2, 3, "cvr-p"),
+        (279, 242, "53c1c164988f1a121fcd01c203bed40f8ee604f340ae043175cca423dcccce1d"),
+    ),
+    "cvr": (
+        1.0 + _ints(5, 8, (8, 30)), EnumParams(0.5, 2, 3, "cvr", "scale"),
+        (499, 467, "7e83f15d9b7d30d132bea17a80a653c4eb48b0bfe5f1776cd073d875488631f7"),
+    ),
+    "chv-p": (
+        _ints(7, 3, (40, 8)), EnumParams(0.0, 3, 3, "chv-p"),
+        (476, 378, "2a4f7e67f14da61af9e4f8a27ce6d8a0adb79cc820c93248e0360d53dd626c44"),
+    ),
+    "chv": (
+        _ints(6, 5, (16, 6)), EnumParams(1.0, 3, 3, "chv"),
+        (343, 84, "15384fea3ca5910d6023ec3d8d15b5d433b985abd306ae74430d7c87c56d5efc"),
+    ),
+}
+
+
+def test_every_type_pins_output_and_node_count():
+    # pins each walk and its output bytes: a change that visits other nodes
+    # or emits other JSON shows up here
+    assert set(PINNED_RUNS) == BIC_TYPES
+    for bic_type, (mat, params, pinned) in PINNED_RUNS.items():
+        sol = enumerate_biclusters(mat, params)
+        digest = hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
+        assert (sol.stats.nodes_expanded, len(sol), digest) == pinned, bic_type

@@ -4,9 +4,7 @@ import pytest
 from rinclose import (
     Bicluster,
     EnumParams,
-    ExtentRegistry,
-    enumerate_cvc,
-    enumerate_cvr,
+    enumerate_biclusters,
     is_maximal,
     is_valid,
     oracle_enumerate,
@@ -150,23 +148,11 @@ def test_row_maximal_on_running_example(table1):
     assert not _joinable_mask(table1, g1g2, [3], g3, 1.0).any()
 
 
-# ---------------------------------------------------------------- registry
-
-
-def test_registry_insert_if_absent():
-    reg = ExtentRegistry()
-    assert reg.insert([3, 1, 2]) is True
-    assert reg.insert((1, 2, 3)) is False  # same set, different order/type
-    assert [1, 3, 2] in reg
-    assert [1, 2] not in reg
-    assert len(reg) == 1
-
-
 # ---------------------------------------------------------------- enumeration
 
 
 def test_perfect_solution_of_running_example(table1):
-    sol = enumerate_cvc(table1, EnumParams(0.0, 2, 1, "cvc-p"))
+    sol = enumerate_biclusters(table1, EnumParams(0.0, 2, 1, "cvc-p"))
     assert sol.as_set() == {
         ((0, 1, 2), (4,)),
         ((0, 2), (1, 4)),
@@ -177,33 +163,28 @@ def test_perfect_solution_of_running_example(table1):
 
 def test_huge_epsilon_returns_whole_matrix(table1):
     n, m = table1.shape
-    sol = enumerate_cvc(table1, EnumParams(100.0, n, m, "cvc"))
+    sol = enumerate_biclusters(table1, EnumParams(100.0, n, m, "cvc"))
     assert sol.as_set() == {(tuple(range(n)), tuple(range(m)))}
 
 
 def test_pairwise_difference_matrix_mining(table2):
-    sol = enumerate_cvc(table2, EnumParams(1.0, 2, 1, "cvc"))
+    sol = enumerate_biclusters(table2, EnumParams(1.0, 2, 1, "cvc"))
     match = [b for b in sol.biclusters if b.rows == (0, 2) and 8 in b.cols]
     assert match, "expected a bicluster on rows {g1,g3} whose intent includes column 9"
-
-
-def test_type_mismatch_rejected(table1):
-    with pytest.raises(ValueError):
-        enumerate_cvc(table1, EnumParams(0.0, 1, 1, "ctv-binary"))
 
 
 def test_cvr_is_cvc_of_the_transpose(table1):
     p_cvr = EnumParams(1.0, 2, 2, "cvr")
     p_cvc = EnumParams(1.0, 2, 2, "cvc")
     by_transpose = {
-        (b.cols, b.rows) for b in enumerate_cvc(table1.T, p_cvc).biclusters
+        (b.cols, b.rows) for b in enumerate_biclusters(table1.T, p_cvc).biclusters
     }
-    assert enumerate_cvr(table1, p_cvr).as_set() == by_transpose
+    assert enumerate_biclusters(table1, p_cvr).as_set() == by_transpose
 
 
 def test_single_column_matrix():
     mat = np.array([[1.0], [1.5], [4.0], [1.2]])
-    sol = enumerate_cvc(mat, EnumParams(0.5, 1, 1, "cvc"))
+    sol = enumerate_biclusters(mat, EnumParams(0.5, 1, 1, "cvc"))
     assert sol.as_set() == {((0, 1, 3), (0,)), ((2,), (0,))}
 
 
@@ -229,7 +210,7 @@ def test_matches_oracle_small_matrices():
         min_row = int(rng.integers(1, 4))
         bt = "cvc-p" if eps == 0.0 else "cvc"
         params = EnumParams(eps, min_row, 1, bt)
-        found = enumerate_cvc(vals, params)
+        found = enumerate_biclusters(vals, params)
         expected = oracle_enumerate(vals, params)
         assert found.as_set() == expected.as_set(), f"trial {trial}"
 
@@ -241,7 +222,7 @@ def test_cvr_matches_oracle():
         m = int(rng.integers(2, 8))
         vals = rng.integers(0, 4, size=(n, m)).astype(float)
         params = EnumParams(1.0, 1, 1, "cvr")
-        found = enumerate_cvr(vals, params)
+        found = enumerate_biclusters(vals, params)
         expected = oracle_enumerate(vals, params)
         assert found.as_set() == expected.as_set()
 
@@ -250,7 +231,7 @@ def test_outputs_are_valid_and_maximal():
     rng = np.random.default_rng(29)
     vals = rng.integers(0, 6, size=(12, 6)).astype(float)
     params = EnumParams(1.0, 2, 1, "cvc")
-    sol = enumerate_cvc(vals, params)
+    sol = enumerate_biclusters(vals, params)
     assert len(sol) > 0
     for b in sol.biclusters:
         assert is_valid(vals, b, params)
@@ -286,6 +267,6 @@ def test_rm_off_leaks_only_dominated_pairs():
 
 
 def test_node_counter_counts_closures(table1):
-    sol = enumerate_cvc(table1, EnumParams(0.0, 2, 1, "cvc-p"))
+    sol = enumerate_biclusters(table1, EnumParams(0.0, 2, 1, "cvc-p"))
     assert sol.stats.nodes_expanded >= len(sol)
     assert sol.stats.elapsed_s >= 0.0

@@ -4,8 +4,7 @@ import pytest
 from rinclose import (
     EnumParams,
     GenConfig,
-    enumerate_chv_perfect,
-    enumerate_cvc,
+    enumerate_biclusters,
     generate,
     is_valid,
     precision_recall,
@@ -147,7 +146,7 @@ def test_truth_params_name_the_pattern():
 def test_noiseless_roundtrip_chv():
     cfg = small_config(seed=3)
     mat, truth = generate(cfg)
-    found = enumerate_chv_perfect(mat, EnumParams(0.0, cfg.bic_rows, cfg.bic_cols, "chv-p"))
+    found = enumerate_biclusters(mat, EnumParams(0.0, cfg.bic_rows, cfg.bic_cols, "chv-p"))
     assert precision_recall(found.biclusters, truth.biclusters, cfg.n, cfg.m) == (1.0, 1.0)
     assert found.as_set() == truth.as_set()
 
@@ -155,5 +154,5 @@ def test_noiseless_roundtrip_chv():
 def test_noiseless_roundtrip_cvc():
     cfg = small_config(pattern="cvc", seed=3)
     mat, truth = generate(cfg)
-    found = enumerate_cvc(mat, EnumParams(0.0, cfg.bic_rows, cfg.bic_cols, "cvc-p"))
+    found = enumerate_biclusters(mat, EnumParams(0.0, cfg.bic_rows, cfg.bic_cols, "cvc-p"))
     assert precision_recall(found.biclusters, truth.biclusters, cfg.n, cfg.m) == (1.0, 1.0)

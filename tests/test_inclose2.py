@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rinclose import BinaryContext, EnumParams, enumerate_ctv_binary, oracle_enumerate
+from rinclose import BinaryContext, EnumParams, enumerate_biclusters, oracle_enumerate
 from rinclose.cliques import _bits
 
-MAT3 = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+MAT3 = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
 
 
 def ctv(min_row=1, min_col=1):
@@ -16,10 +16,10 @@ def ctv(min_row=1, min_col=1):
 
 def test_context_rejects_non_binary():
     with pytest.raises(ValueError):
-        BinaryContext([[0, 2], [1, 0]])
+        BinaryContext(np.array([[0, 2], [1, 0]]))
     with pytest.raises(ValueError):
-        BinaryContext([[0.5]])
-    BinaryContext([[0.0, 1.0]])  # floats that happen to be 0/1 are fine
+        BinaryContext(np.array([[0.5]]))
+    BinaryContext(np.array([[0.0, 1.0]]))  # floats that happen to be 0/1 are fine
 
 
 def test_derive_attr():
@@ -33,7 +33,7 @@ def test_derive_attr():
 
 
 def test_all_concepts_of_small_matrix():
-    sol = enumerate_ctv_binary(MAT3, ctv())
+    sol = enumerate_biclusters(MAT3, ctv())
     assert sol.as_set() == {
         ((0, 1), (0, 1)),
         ((1,), (0, 1, 2)),
@@ -43,19 +43,19 @@ def test_all_concepts_of_small_matrix():
 
 
 def test_all_ones_matrix_single_concept():
-    sol = enumerate_ctv_binary(np.ones((2, 2)), ctv())
+    sol = enumerate_biclusters(np.ones((2, 2)), ctv())
     assert sol.as_set() == {((0, 1), (0, 1))}
 
 
 def test_size_filters():
-    sol = enumerate_ctv_binary(MAT3, ctv(2, 2))
+    sol = enumerate_biclusters(MAT3, ctv(2, 2))
     assert sol.as_set() == {((0, 1), (0, 1)), ((1, 2), (1, 2))}
     with pytest.raises(ValueError):
-        enumerate_ctv_binary(MAT3, ctv(min_row=0))
+        enumerate_biclusters(MAT3, ctv(min_row=0))
 
 
 def test_zero_matrix_has_no_concepts():
-    sol = enumerate_ctv_binary(np.zeros((3, 3)), ctv())
+    sol = enumerate_biclusters(np.zeros((3, 3)), ctv())
     assert len(sol) == 0
 
 
@@ -76,7 +76,7 @@ binary_matrices = arrays(
 @settings(max_examples=150, deadline=None)
 @given(binary_matrices)
 def test_concepts_are_closed_and_unique(mat):
-    sol = enumerate_ctv_binary(mat, ctv())
+    sol = enumerate_biclusters(mat, ctv())
     pairs = [(b.rows, b.cols) for b in sol.biclusters]
     assert len(set(pairs)) == len(pairs)
     for rows, cols in pairs:
@@ -87,7 +87,7 @@ def test_concepts_are_closed_and_unique(mat):
 @given(binary_matrices, st.integers(1, 3), st.integers(1, 3))
 def test_matches_oracle(mat, min_row, min_col):
     params = ctv(min_row, min_col)
-    found = enumerate_ctv_binary(mat, params)
+    found = enumerate_biclusters(mat, params)
     expected = oracle_enumerate(mat, params)
     assert found.as_set() == expected.as_set()
 
@@ -97,13 +97,13 @@ def test_node_count_stays_polynomial():
     for _ in range(20):
         n, m = rng.integers(4, 13, size=2)
         mat = (rng.random((n, m)) < 0.5).astype(float)
-        sol = enumerate_ctv_binary(mat, ctv())
+        sol = enumerate_biclusters(mat, ctv())
         k = max(1, len(sol))
         assert sol.stats.nodes_expanded <= k * m * m + 1
 
 
 def test_stats_are_populated():
-    sol = enumerate_ctv_binary(MAT3, ctv())
+    sol = enumerate_biclusters(MAT3, ctv())
     assert sol.stats.num_biclusters == len(sol) == 4
     assert sol.stats.nodes_expanded >= 1
     assert sol.params.bic_type == "ctv-binary"

@@ -34,15 +34,6 @@ def test_load_matrix_sniffs_delimiters(tmp_path):
     assert np.array_equal(load_matrix(ws).values, [[1, 2], [3, 4]])
 
 
-def test_load_matrix_header_flag(tmp_path):
-    path = tmp_path / "h.csv"
-    path.write_text("c0,c1\n1,2\n3,4\n")
-    mat = load_matrix(path, header=True)
-    assert mat.shape == (2, 2)
-    with pytest.raises(ValueError):
-        load_matrix(path)  # header row is not numeric
-
-
 def test_load_matrix_single_row_is_still_2d(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("5,6,7\n")

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinclose import Bicluster, overlap, precision_recall, solution_report
-from rinclose.metrics import span_grid, volume
+from rinclose.metrics import span_grid
 
 
 def test_volume():
-    assert volume(Bicluster([0, 1], [0, 1, 2])) == 6
+    assert Bicluster([0, 1], [0, 1, 2]).volume == 6
 
 
 def test_overlap_identical_is_one():
