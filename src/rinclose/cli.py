@@ -6,8 +6,8 @@ Diagnostics go to standard error and are controlled by the RINCLOSE_LOG
 environment variable (quiet, info, debug); results go to standard output or
 --output as compact JSON.
 
-Exit codes: 0 success, 1 data error (unreadable input, non-binary context,
-size guard, out-of-range indices), 2 usage error (bad flags or flag
+Exit codes: 0 success, 1 data error (unreadable input, unwritable output,
+non-binary context, out-of-range indices), 2 usage error (bad flags or flag
 combinations, including epsilon/type mismatches).
 """
 
@@ -37,6 +37,13 @@ def _setup_logging() -> None:
     handler.setFormatter(logging.Formatter("%(message)s"))
     log.handlers[:] = [handler]
     log.setLevel(level)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,13 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="precision/recall of one solution against another")
     ev.add_argument("--found", required=True)
     ev.add_argument("--reference", required=True)
-    ev.add_argument("--rows", type=int, required=True)
-    ev.add_argument("--cols", type=int, required=True)
+    ev.add_argument("--rows", type=_positive_int, required=True)
+    ev.add_argument("--cols", type=_positive_int, required=True)
 
     rep = sub.add_parser("report", help="coverage/overlap summary of a solution")
     rep.add_argument("--solution", required=True)
-    rep.add_argument("--rows", type=int, required=True)
-    rep.add_argument("--cols", type=int, required=True)
+    rep.add_argument("--rows", type=_positive_int, required=True)
+    rep.add_argument("--cols", type=_positive_int, required=True)
     return parser
 
 
@@ -124,7 +131,11 @@ def _cmd_mine(args, parser: argparse.ArgumentParser) -> int:
     except (OSError, ValueError) as exc:
         log.error("error: %s", exc)
         return 1
-    _emit(rio.solution_to_json(sol), args.output)
+    try:
+        _emit(rio.solution_to_json(sol), args.output)
+    except OSError as exc:
+        log.error("error: %s", exc)
+        return 1
     log.info(
         "%d biclusters, %d nodes expanded, %.3f s",
         len(sol),

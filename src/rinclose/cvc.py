@@ -27,6 +27,17 @@ registry and RM only when epsilon > 0, and at epsilon = 0 it is the perfect
 variant.  Their off-switches are private to the kernel, for the tests that
 show each guard is needed.  The registry is a plain set of extent bytes.
 
+Each node first sorts its extent's values column by column (values only, a
+block of columns at a time) and marks the columns holding an epsilon-window
+of at least min_row rows; the attribute loop then visits only those and the
+columns the intent absorbs.  The skip is exact: the window test uses
+the same subtraction as ``_window_ends``, and floating-point subtraction is
+monotone in its first operand, so a window of min_row rows starts at sorted
+position p iff s[p + min_row - 1] - s[p] <= epsilon.  A skipped column would
+have created no child, so the registry, RM and canonicity never see it, and
+children, node counts and output stay the same.  On the augmented matrix of
+``chv`` most of the m(m-1)/2 columns of most nodes are skipped this way.
+
 This walk is the one numeric kernel: ``cvr`` reaches it through the
 transpose, ``chv-p`` through one pivot-difference matrix per pivot column
 (see ``chv``), and ``chv`` through the augmented matrix.  The miners here
@@ -42,6 +53,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import EnumParams
+
+_BLOCK = 256  # columns per sort in _fits
 
 
 def _window_ends(sv: np.ndarray, eps: float) -> np.ndarray:
@@ -65,12 +78,14 @@ def _window_ends(sv: np.ndarray, eps: float) -> np.ndarray:
     return ends
 
 
-def _window_starts(ends: np.ndarray) -> np.ndarray:
+def _window_starts(ends: np.ndarray) -> list[int]:
     """Starts of maximal windows: those reaching strictly beyond their predecessor.
 
     Relies on ends being non-decreasing, which holds for sorted values.
     """
-    return np.flatnonzero(np.diff(ends, prepend=-1) > 0)
+    starts = np.flatnonzero(ends[1:] > ends[:-1])
+    starts += 1
+    return [0, *starts.tolist()]
 
 
 def _joinable_mask(
@@ -91,16 +106,30 @@ def _joinable_mask(
 
 def _canonical_fast(values: np.ndarray, rw: np.ndarray, bset: set[int], j: int, eps: float) -> bool:
     """Vectorized canonicity scan over attributes < j outside the intent."""
-    ks = [k for k in range(j) if k not in bset]
-    if not ks:
+    if j == 0:
         return True
-    # ascending chunks so an early hit skips the rest
-    for lo in range(0, len(ks), 64):
-        chunk = np.asarray(ks[lo : lo + 64], dtype=np.intp)
-        sub = values[np.ix_(rw, chunk)]
-        if (sub.max(axis=0) - sub.min(axis=0) <= eps).any():
-            return False
-    return True
+    sub = values[rw, :j]
+    fit = sub.max(axis=0) - sub.min(axis=0) <= eps
+    fit[[k for k in bset if k < j]] = False
+    return not fit.any()
+
+
+def _fits(sub: np.ndarray, eps: float, min_row: int) -> np.ndarray:
+    """Per column of sub: does some eps-window hold at least min_row rows?
+
+    Tests s[p + min_row - 1] - s[p] <= eps on the sorted column, the
+    subtraction ``_window_ends`` cuts with (see the module docstring for why
+    that is exact).  Columns are sorted _BLOCK at a time to bound the scratch
+    memory.
+    """
+    k, m = sub.shape
+    fits = np.zeros(m, dtype=bool)
+    if k < min_row:
+        return fits
+    for lo in range(0, m, _BLOCK):
+        s = np.sort(sub[:, lo : lo + _BLOCK], axis=0)
+        fits[lo : lo + _BLOCK] = ((s[min_row - 1 :] - s[: k - min_row + 1]) <= eps).any(axis=0)
+    return fits
 
 
 def _mine_cvc(
@@ -138,18 +167,23 @@ def _mine_cvc(
         a, b_in, y, rm = stack.pop()
         nodes += 1
         sub = values[a]
-        rng_all = sub.max(axis=0) - sub.min(axis=0)
+        absorb = sub.max(axis=0) - sub.min(axis=0) <= eps
+        # a column that neither joins the intent nor holds a window of
+        # min_row rows creates no child, so the scan passes over it; the
+        # min_col prune could fire on such a column only when the intent is
+        # already too short to emit, and then fires on the next one scanned
+        scan = np.flatnonzero(absorb[y:] | _fits(sub[:, y:], eps, min_row)) + y
         intent = list(b_in)
         bset = set(b_in)
         children: list[tuple[np.ndarray, int, np.ndarray]] = []
         pruned = False
-        for j in range(y, m):
+        for j in scan.tolist():
             if j in bset:
                 continue
             if len(intent) + (m - j) < min_col:
                 pruned = True
                 break
-            if rng_all[j] <= eps:
+            if absorb[j]:
                 intent.append(j)
                 bset.add(j)
                 continue

@@ -185,3 +185,27 @@ def test_cli_and_library_share_one_dispatch_table(table1_csv, tmp_path, capsys):
         out = capsys.readouterr().out
         assert out == solution_to_json(enumerate_biclusters(mat, params)), alg
         assert out != "[]\n", alg
+
+
+def test_output_into_missing_directory_is_a_data_error(table1_csv, tmp_path, capsys):
+    dest = tmp_path / "no-such-dir" / "out.json"
+    assert main(mine_args(table1_csv, "--output", str(dest))) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "evaluate"])
+@pytest.mark.parametrize("flag", ["--rows", "--cols"])
+def test_shape_flags_must_be_positive(tmp_path, capsys, command, flag):
+    sol = tmp_path / "sol.json"
+    sol.write_text('[{"rows":[0],"cols":[0]}]')
+    files = {"report": ["--solution", str(sol)],
+             "evaluate": ["--found", str(sol), "--reference", str(sol)]}[command]
+    argv = [command, *files, "--rows", "3", "--cols", "3"]
+    argv[argv.index(flag) + 1] = "0"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

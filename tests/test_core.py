@@ -6,9 +6,11 @@ import pytest
 from rinclose import (
     Bicluster,
     EnumParams,
+    GenConfig,
     NumericMatrix,
     as_matrix,
     enumerate_biclusters,
+    generate,
     is_maximal,
     is_valid,
     transform_for_model,
@@ -291,3 +293,16 @@ def test_every_type_pins_output_and_node_count():
         sol = enumerate_biclusters(mat, params)
         digest = hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
         assert (sol.stats.nodes_expanded, len(sol), digest) == pinned, bic_type
+
+
+def test_chv_pins_a_walk_where_most_columns_hold_no_window():
+    # planted shift blocks in a uniform [0, 100] background: about 7 in 8
+    # column scans of this walk find no eps-window of min_row rows, so the
+    # kernel's per-node prefilter skips most columns; nodes and bytes must
+    # not move
+    mat, _ = generate(GenConfig(n=120, m=16, num_bics=3, bic_rows=20, bic_cols=6,
+                                overlap=0.2, noise_sigma=0.01, seed=0))
+    sol = enumerate_biclusters(mat, EnumParams(0.1, 12, 4, "chv"))
+    digest = hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
+    assert (sol.stats.nodes_expanded, len(sol), digest) == (
+        13, 3, "777c08aadd5912d885e0954d2f695f8e3e7babed458b5dbe91ebaee6671a179d")

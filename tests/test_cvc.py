@@ -3,6 +3,7 @@ import pytest
 
 from rinclose import (
     Bicluster,
+    build_augmented,
     EnumParams,
     enumerate_biclusters,
     is_maximal,
@@ -11,6 +12,7 @@ from rinclose import (
 )
 from rinclose.cvc import (
     _canonical_fast,
+    _fits,
     _joinable_mask,
     _mine_cvc,
     _window_ends,
@@ -63,6 +65,31 @@ def test_windows_are_never_duplicated():
             assert vals[w].max() - vals[w].min() <= eps
         for a in keys:
             assert not any(set(a) < set(b) for b in keys)
+
+
+def _tie_epsilons(values, rng):
+    """An actual positive difference of two entries and its two float neighbours."""
+    flat = np.asarray(values, dtype=float).ravel()
+    diffs = np.abs(flat[:, None] - flat[None, :])
+    d = float(rng.choice(diffs[diffs > 0]))
+    return d, float(np.nextafter(d, 0.0)), float(np.nextafter(d, np.inf))
+
+
+def test_fits_agrees_with_the_windows_at_ties():
+    # decimal columns, so differences are inexact and epsilon sits on them;
+    # more columns than one sort block, so the block seams are crossed too
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        cols = np.sort(rng.integers(0, 30, size=(n, 300)) / 10, axis=0)
+        for eps in _tie_epsilons(cols[:, 0], rng) if n > 1 else (0.1,):
+            longest = []  # rows of each column's longest maximal window
+            for j in range(cols.shape[1]):
+                ends = _window_ends(cols[:, j], eps)
+                longest.append(max(ends[p] - p for p in _window_starts(ends)))
+            for min_row in range(1, n + 1):
+                fits = _fits(cols[rng.permutation(n)], eps, min_row)
+                assert (fits == (np.array(longest) >= min_row)).all(), (eps, min_row)
 
 
 # ---------------------------------------------------------------- canonicity
@@ -213,6 +240,25 @@ def test_matches_oracle_small_matrices():
         found = enumerate_biclusters(vals, params)
         expected = oracle_enumerate(vals, params)
         assert found.as_set() == expected.as_set(), f"trial {trial}"
+
+
+def test_matches_oracle_at_exact_ties():
+    # epsilon equal to an actual difference of decimal entries, and its two
+    # float neighbours; min_row >= 3 makes most columns of most nodes hold no
+    # window, so the kernel's prefilter skips them
+    rng = np.random.default_rng(43)
+    for trial in range(60):
+        n = int(rng.integers(4, 11))
+        m = int(rng.integers(2, 7))
+        vals = rng.integers(0, 30, size=(n, m)) / 10
+        bt = "cvc" if trial % 2 else "chv"
+        ties = vals if bt == "cvc" else build_augmented(vals).values
+        min_row = int(rng.integers(3, 5))
+        min_col = int(rng.integers(1, 3)) + (bt == "chv")
+        for eps in _tie_epsilons(ties[:, [int(rng.integers(ties.shape[1]))]], rng):
+            params = EnumParams(eps, min_row, min_col, bt)
+            found = enumerate_biclusters(vals, params)
+            assert found.as_set() == oracle_enumerate(vals, params).as_set(), (trial, eps)
 
 
 def test_cvr_matches_oracle():
