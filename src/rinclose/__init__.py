@@ -29,7 +29,7 @@ from .core import (
 )
 from .cvc import _cvc, _cvr
 from .datagen import GenConfig, generate
-from .inclose2 import BinaryContext, _ctv_binary
+from .inclose2 import BinaryContext, _ctv_binary, _cvc_perfect, _cvr_perfect
 from .io import load_matrix, load_solution, save_matrix, save_solution
 from .metrics import SolutionReport, overlap, precision_recall, solution_report
 from .oracle import oracle_enumerate
@@ -40,9 +40,9 @@ __version__ = "0.1.0"
 # bic type -> private miner: (values in model space, params) -> ((rows, cols) pairs, nodes)
 ALGORITHMS = {
     "ctv-binary": _ctv_binary,
-    "cvc-p": _cvc,
+    "cvc-p": _cvc_perfect,
     "cvc": _cvc,
-    "cvr-p": _cvr,
+    "cvr-p": _cvr_perfect,
     "cvr": _cvr,
     "chv-p": _chv_perfect,
     "chv": _chv,

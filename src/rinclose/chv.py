@@ -6,9 +6,9 @@ row.  Multiplicative coherence reduces to this by mining the elementwise log
 (``model="scale"``).
 
 Perfect case (epsilon = 0): coherence with a single pivot column transfers
-exactly to all column pairs, so the search makes one call of the
-constant-column kernel per pivot column atr, on the differences
-values[:, atr] - values with the root's intent seeded by atr.  The kernel
+exactly to all column pairs, so the search makes one call of the bitmask
+walk of ``inclose2`` per pivot column atr, on the differences
+values[:, atr] - values with the root's intent seeded by atr.  The walk
 branches on equal-difference row groups and tests canonicity against all
 earlier columns.  The transfer is exact when those differences are exactly
 representable (integers, dyadic values); see the README.
@@ -41,6 +41,7 @@ import numpy as np
 from .cliques import UndirectedGraph, maximal_cliques
 from .core import Bicluster, EnumParams
 from .cvc import _mine_cvc
+from .inclose2 import _mine_groups
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def build_augmented(values: np.ndarray) -> AugmentedMatrix:
 
 
 def _chv_perfect(values: np.ndarray, params: EnumParams):
-    """Miner for ``chv-p``: one kernel walk per pivot column.
+    """Miner for ``chv-p``: one bitmask walk per pivot column.
 
     The pivot is the smallest column of every intent found under it, and only
     later columns are scanned.  A pivot whose difference with some earlier
@@ -86,7 +87,7 @@ def _chv_perfect(values: np.ndarray, params: EnumParams):
         z = values[:, [atr]] - values  # differences vs the pivot column
         if (np.ptp(z[:, :atr], axis=0) == 0.0).any():
             continue
-        pairs, k = _mine_cvc(z, 0.0, params.min_row, params.min_col, root=(atr,))
+        pairs, k = _mine_groups(z, params.min_row, params.min_col, root=(atr,))
         out += pairs
         nodes += k
     return out, nodes

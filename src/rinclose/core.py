@@ -103,8 +103,8 @@ class Bicluster:
     cols: tuple[int, ...]
 
     def __init__(self, rows: Iterable[int], cols: Iterable[int]) -> None:
-        r = tuple(sorted(set(int(i) for i in rows)))
-        c = tuple(sorted(set(int(j) for j in cols)))
+        r = tuple(sorted(set(map(int, rows))))
+        c = tuple(sorted(set(map(int, cols))))
         if not r or not c:
             raise ValueError("bicluster rows and cols must be nonempty")
         object.__setattr__(self, "rows", r)

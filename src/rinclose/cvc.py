@@ -21,11 +21,14 @@ Three guards keep the perturbed output exact, complete and duplicate-free:
   outside the window whose values sit within epsilon of the window's pivot
   band; only those can ever rejoin a descendant.
 
-With epsilon = 0 the windows are the equal-value groups, which are disjoint,
-so none of the three guards beyond canonicity is needed: the kernel runs the
-registry and RM only when epsilon > 0, and at epsilon = 0 it is the perfect
-variant.  Their off-switches are private to the kernel, for the tests that
-show each guard is needed.  The registry is a plain set of extent bytes.
+The registry and RM are needed only because epsilon-windows overlap.  At
+epsilon = 0 the windows are the disjoint equal-value groups and canonicity
+alone suffices, so the perfect types run the bitmask walk of ``inclose2``
+on precomputed groups instead, and this kernel serves epsilon > 0 only.
+Called with epsilon = 0 it walks the same tree as that walk, without
+registry or RM; the tests use this to cross-check the two.  The guards'
+off-switches are private to the kernel, for the tests that show each guard
+is needed.  The registry is a plain set of extent bytes.
 
 Each node first sorts its extent's values column by column (values only, a
 block of columns at a time) and marks the columns holding an epsilon-window
@@ -38,12 +41,11 @@ have created no child, so the registry, RM and canonicity never see it, and
 children, node counts and output stay the same.  On the augmented matrix of
 ``chv`` most of the m(m-1)/2 columns of most nodes are skipped this way.
 
-This walk is the one numeric kernel: ``cvr`` reaches it through the
-transpose, ``chv-p`` through one pivot-difference matrix per pivot column
-(see ``chv``), and ``chv`` through the augmented matrix.  The miners here
-(``_cvc``, ``_cvr``) map params onto the kernel's arguments and return its
-(rows, cols) pairs and node count; ``enumerate_biclusters`` owns the model
-transform, the timing, the sort and the stats.
+This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
+matrix, ``cvr`` on the transpose and ``chv`` on the augmented matrix.  The
+miners here (``_cvc``, ``_cvr``) map params onto the kernel's arguments and
+return its (rows, cols) pairs and node count; ``enumerate_biclusters`` owns
+the model transform, the timing, the sort and the stats.
 """
 
 from __future__ import annotations
@@ -138,16 +140,13 @@ def _mine_cvc(
     min_row: int,
     min_col: int,
     *,
-    root: tuple[int, ...] = (),
     use_registry: bool = True,
     use_rm: bool = True,
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    """Core walk shared by every numeric bicluster type.
+    """Core walk shared by the perturbed bicluster types.
 
     Returns (list of (rows, cols) pairs, node count).  The registry and RM
     guards run only when eps > 0; the two toggles can switch them off there.
-    ``root`` seeds the root's intent, and the scan then starts past its last
-    attribute.
     """
     n, m = values.shape
     # extents of the children created so far; an extent killed by the RM
@@ -161,7 +160,7 @@ def _mine_cvc(
     empty = np.empty(0, dtype=np.intp)
     # stack entries: (extent row ids sorted, inherited intent, start attr, check-set RM)
     stack: list[tuple[np.ndarray, tuple[int, ...], int, np.ndarray]] = [
-        (np.arange(n, dtype=np.intp), root, root[-1] + 1 if root else 0, empty)
+        (np.arange(n, dtype=np.intp), (), 0, empty)
     ]
     while stack:
         a, b_in, y, rm = stack.pop()
@@ -226,12 +225,12 @@ def _mine_cvc(
 
 
 def _cvc(values: np.ndarray, params: EnumParams):
-    """Miner for ``cvc``/``cvc-p``: the kernel under the caller's filters."""
+    """Miner for ``cvc``: the kernel under the caller's filters."""
     return _mine_cvc(values, params.epsilon, params.min_row, params.min_col)
 
 
 def _cvr(values: np.ndarray, params: EnumParams):
-    """Miner for ``cvr``/``cvr-p``: constant columns of the transpose, swapped back."""
+    """Miner for ``cvr``: constant columns of the transpose, swapped back."""
     pairs, nodes = _mine_cvc(
         np.ascontiguousarray(values.T), params.epsilon, params.min_col, params.min_row
     )

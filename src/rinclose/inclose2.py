@@ -1,18 +1,38 @@
-"""Enumeration of all formal concepts of a binary matrix (In-Close2 scheme).
+"""The In-Close2 bitmask walk over equal-value row groups (every perfect type).
 
-A formal concept is a pair (A, B) with A = all rows having ones in every
-column of B and B = all columns having ones in every row of A; equivalently,
-a maximal all-ones submatrix.  The enumeration walks concepts depth-first in
-lexicographic attribute order.  At each node attributes are scanned from the
-node's start attribute: an attribute covering the whole extent is absorbed
-into the intent; otherwise the reduced extent becomes a child, kept only if
-it passes the canonicity test (no earlier non-intent attribute covers it —
-that child belongs to an earlier subtree).  Children inherit the parent's
-fully closed intent without recomputation.
+At epsilon = 0 a window of a column is just a group of rows holding the same
+value there, so the perfect types need no sorting per node: each column is
+cut once, up front, into its equal-value row groups (exact float equality,
+which on sorted finite floats is what ``sv[q] - sv[p] <= 0`` tests), and a
+group is kept as a row bitmask only if it has at least min_row rows.  A
+smaller group can neither become a child nor cover one in the canonicity
+test, since every child has min_row rows or more.
 
-Extents are manipulated as row bitmasks.  The miner ``_ctv_binary`` takes
-the value array and returns (rows, cols) pairs and the node count;
-``enumerate_biclusters`` owns the timing, the sort and the stats.
+The walk visits nodes depth-first in lexicographic attribute order.  At each
+node attributes are scanned from the node's start attribute: an attribute is
+absorbed into the intent when one of its groups holds the whole extent;
+otherwise each group the extent meets in at least min_row rows becomes a
+child, kept only if it passes the canonicity test (no earlier non-intent
+attribute has a group covering it -- that child belongs to an earlier
+subtree).  A child's covering group, if any, is the group of its lowest
+row, so that test is one lookup per earlier attribute.  When a column has
+more groups than the extent has rows, only the groups the extent's rows hit
+are visited: the rows are tallied by group, and only a group holding
+min_row of them is intersected with the extent; this keeps columns of many
+small groups (near-continuous data at a small min_row) linear in the
+extent, not in the number of groups or in the bit length of the masks.
+The group scan of a column also stops once fewer than min_row rows of the
+extent are left unplaced.  Children inherit
+the parent's fully closed intent without recomputation.  Groups are
+disjoint, so no extent is reached twice and no registry or row-maximality
+check set is needed.
+
+Every perfect type runs this walk: ``cvc-p`` on the matrix, ``cvr-p`` on its
+transpose, ``chv-p`` once per pivot column on the differences to that column
+(see ``chv``), and ``ctv-binary`` as the case where only the 1-valued group
+of each column counts and rows holding a 0 belong to no group.  The miners
+take the value array in model space and return (rows, cols) pairs and the
+node count; ``enumerate_biclusters`` owns the timing, the sort and the stats.
 """
 
 from __future__ import annotations
@@ -21,6 +41,8 @@ import numpy as np
 
 from .cliques import _bits
 from .core import EnumParams
+
+_HOT_CELLS = 1 << 22  # bytes of the 0/1 scratch block _masks packs at a time
 
 
 class BinaryContext:
@@ -38,25 +60,98 @@ class BinaryContext:
         ]
 
 
-def _ctv_binary(values: np.ndarray, params: EnumParams):
-    """Miner for ``ctv-binary``: all formal concepts (A, B) with |A| >= min_row, |B| >= min_col.
+def _masks(g: np.ndarray, rows: np.ndarray, count: int, n: int) -> list[int]:
+    """Row bitmask of each group 0..count-1 from its cells (group g, row rows).
+
+    g must be non-decreasing.  A group of one row has the same mask in every
+    column, so those share one int per row; a column of lone rows
+    (near-continuous data at min_row 1) would otherwise hold n masks of up
+    to n bits each.  The other groups are set in a 0/1 block of groups x
+    rows and packed to bytes, a slice of groups at a time so the block stays
+    under _HOT_CELLS bytes.
+    """
+    first = np.searchsorted(g, np.arange(count))
+    lone = np.diff(first, append=len(g)) == 1
+    out = np.zeros(count, dtype=object)
+    alone, which = np.unique(rows[first[lone]], return_inverse=True)
+    shared = np.empty(len(alone), dtype=object)
+    shared[:] = [1 << r for r in alone.tolist()]
+    out[lone] = shared[which]
+    big = np.flatnonzero(~lone)
+    keep = ~lone[g]
+    g, rows = g[keep], rows[keep]
+    step = max(1, _HOT_CELLS // n)
+    for lo in range(0, len(big), step):
+        sel = big[lo : lo + step]
+        a, b = np.searchsorted(g, (sel[0], sel[-1] + 1))
+        hot = np.zeros((len(sel), n), dtype=bool)
+        hot[np.searchsorted(sel, g[a:b]), rows[a:b]] = True
+        for k, row in zip(sel.tolist(), np.packbits(hot, axis=1, bitorder="little")):
+            out[k] = int.from_bytes(row, "little")
+    return out.tolist()
+
+
+def _value_groups(values: np.ndarray, min_row: int) -> tuple[np.ndarray, list[list[int]]]:
+    """Equal-value groups of min_row rows or more, numbered column by column.
+
+    Returns the table gid (n x m: the number of each cell's group, -1 where
+    that group is smaller) and each column's group bitmasks in that order,
+    which within a column is value order.
+    """
+    n, m = values.shape
+    order = np.argsort(values, axis=0, kind="stable").T  # row j: column j's rows by value
+    sv = np.take_along_axis(values.T, order, axis=1)
+    new = np.ones((m, n), dtype=bool)  # where a group starts
+    new[:, 1:] = sv[:, 1:] != sv[:, :-1]
+    starts = np.flatnonzero(new)
+    keep = np.diff(starts, append=n * m) >= min_row
+    number = np.where(keep, np.cumsum(keep) - 1, -1)[np.cumsum(new) - 1]  # per sorted cell
+    gid = np.empty((m, n), dtype=np.int64)
+    np.put_along_axis(gid, order, number.reshape(m, n), axis=1)
+    kept = number >= 0
+    masks = _masks(number[kept], order.ravel()[kept], int(keep.sum()), n)
+    ends = np.cumsum(np.bincount(starts[keep] // n, minlength=m)).tolist()
+    return gid.T, [masks[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _cover(gid: np.ndarray, groups: list[list[int]]) -> list[list[int]]:
+    """cover[r][j]: the bitmask of row r's group in column j, 0 if it has none."""
+    lut = np.empty(sum(map(len, groups)) + 1, dtype=object)
+    lut[:-1] = [g for col in groups for g in col]
+    lut[-1] = 0  # gid -1 reads the empty mask
+    return lut[gid].tolist()
+
+
+def _walk(
+    cover: list[list[int]],
+    groups: list[list[int]],
+    min_row: int,
+    min_col: int,
+    root: tuple[int, ...] = (),
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """The bitmask closure walk over a group table; returns (pairs, node count).
+
+    ``groups[j]`` holds the row bitmasks of column j's groups and
+    ``cover[r][j]`` the one holding row r (see ``_cover``).  ``root`` seeds
+    the root's intent, and the scan then starts past its last attribute.
 
     A node is abandoned (no emission, attribute scan stopped) as soon as its
     intent cannot reach min_col even if every remaining attribute were added;
     children created before that point are still explored, since they keep
     their own chances from their earlier branch attributes.
     """
-    context = BinaryContext(values)
-    m, col_masks = context.m, context.col_masks
-    min_row, min_col = params.min_row, params.min_col
-    full = (1 << context.n) - 1
+    n, m = len(cover), len(groups)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
     # stack entries: (extent mask, inherited intent (sorted tuple), start attribute)
-    stack: list[tuple[int, tuple[int, ...], int]] = [(full, (), 0)]
+    stack: list[tuple[int, tuple[int, ...], int]] = [
+        ((1 << n) - 1, root, root[-1] + 1 if root else 0)
+    ]
     while stack:
-        a_mask, b_in, y = stack.pop()
+        a, b_in, y = stack.pop()
         nodes += 1
+        size = a.bit_count()
+        rows = None  # the extent's rows, listed when a column needs them
         intent = list(b_in)
         bset = set(b_in)
         children: list[tuple[int, int]] = []
@@ -67,19 +162,77 @@ def _ctv_binary(values: np.ndarray, params: EnumParams):
             if len(intent) + (m - j) < min_col:
                 pruned = True
                 break
-            rw = a_mask & col_masks[j]
-            if rw == a_mask:
-                intent.append(j)
-                bset.add(j)
-            elif rw.bit_count() >= min_row:
-                # canonicity: an earlier non-intent attribute covering rw means
-                # this extent was (or will be) produced in an earlier subtree
-                if not any(
-                    rw & col_masks[k] == rw for k in range(j) if k not in bset
-                ):
-                    children.append((rw, j))
-        if not pruned and a_mask.bit_count() >= min_row and len(intent) >= min_col:
-            out.append((tuple(_bits(a_mask)), tuple(sorted(intent))))
+            gs = groups[j]
+            if len(gs) > size:
+                # more groups than rows: tally the groups the rows hit (a
+                # group is one shared int, so by identity) and keep those
+                # that hold min_row of them
+                if rows is None:
+                    rows = list(_bits(a))
+                tally: dict[int, list] = {}
+                for r in rows:
+                    g = cover[r][j]
+                    if g:
+                        t = tally.get(id(g))
+                        if t is None:
+                            tally[id(g)] = [g, 1]
+                        else:
+                            t[1] += 1
+                gs = [g for g, k in tally.values() if k >= min_row]
+            left = size  # rows of the extent not yet placed in a group
+            for g in gs:
+                g &= a
+                k = g.bit_count()
+                if k >= min_row:
+                    if k == size:  # the extent fits inside one group: absorb
+                        intent.append(j)
+                        bset.add(j)
+                        break
+                    # canonicity: an earlier non-intent attribute covering g
+                    # means this extent was (or will be) produced in an
+                    # earlier subtree
+                    c = cover[(g & -g).bit_length() - 1]
+                    if not any(g & c[e] == g for e in range(j) if e not in bset):
+                        children.append((g, j))
+                left -= k
+                if left < min_row:
+                    break
+        if not pruned and size >= min_row and len(intent) >= min_col:
+            out.append((tuple(_bits(a)), tuple(sorted(intent))))
         for rw, j in reversed(children):
             stack.append((rw, tuple(sorted(intent + [j])), j + 1))
     return out, nodes
+
+
+def _mine_groups(
+    values: np.ndarray, min_row: int, min_col: int, root: tuple[int, ...] = ()
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """Maximal constant-column biclusters at epsilon = 0: the walk on value groups."""
+    gid, groups = _value_groups(values, min_row)
+    return _walk(_cover(gid, groups), groups, min_row, min_col, root)
+
+
+def _cvc_perfect(values: np.ndarray, params: EnumParams):
+    """Miner for ``cvc-p``."""
+    return _mine_groups(values, params.min_row, params.min_col)
+
+
+def _cvr_perfect(values: np.ndarray, params: EnumParams):
+    """Miner for ``cvr-p``: constant columns of the transpose, swapped back."""
+    pairs, nodes = _mine_groups(values.T, params.min_col, params.min_row)
+    return [(cols, rows) for rows, cols in pairs], nodes
+
+
+def _ctv_binary(values: np.ndarray, params: EnumParams):
+    """Miner for ``ctv-binary``: all formal concepts (A, B) with |A| >= min_row, |B| >= min_col.
+
+    A column's one group is its 1-valued rows, kept if it has min_row rows
+    or more; rows holding a 0 belong to no group.
+    """
+    groups = [
+        [mask] if mask.bit_count() >= params.min_row else []
+        for mask in BinaryContext(values).col_masks
+    ]
+    has = np.array([len(g) for g in groups], dtype=bool)
+    gid = np.where((values == 1.0) & has, np.cumsum(has) - 1, -1)
+    return _walk(_cover(gid, groups), groups, params.min_row, params.min_col)
