@@ -8,10 +8,16 @@ constant columns/rows with residue epsilon (``cvc``/``cvr``, perfect variants
 ``enumerate_biclusters(matrix, params)`` is the one mining entry point: it
 returns the exact set of maximal biclusters meeting the size filters, each
 one exactly once, in canonical order.  ``ALGORITHMS`` is its dispatch table
-from bic type to a private miner working on the plain value array.
+from bic type to a private miner working on the plain value array; each
+miner runs one of two walks, the bitmask walk of ``inclose2`` (perfect
+types) or the numeric kernel of ``cvc`` (perturbed types), and the row
+types are the column types through one transpose rule.
 """
 
+import dataclasses
 import time
+
+import numpy as np
 
 from .chv import AugmentedMatrix, _chv, _chv_perfect, build_augmented
 from .core import (
@@ -27,9 +33,9 @@ from .core import (
     transform_for_model,
     transpose,
 )
-from .cvc import _cvc, _cvr
+from .cvc import _cvc
 from .datagen import GenConfig, generate
-from .inclose2 import BinaryContext, _ctv_binary, _cvc_perfect, _cvr_perfect
+from .inclose2 import _ctv_binary, _cvc_perfect
 from .io import load_matrix, load_solution, save_matrix, save_solution
 from .metrics import SolutionReport, overlap, precision_recall, solution_report
 from .oracle import oracle_enumerate
@@ -37,13 +43,24 @@ from .oracle import oracle_enumerate
 __version__ = "0.1.0"
 
 
+def _transposed(miner):
+    """The miner's row type: run it on the transpose with the size filters swapped."""
+
+    def mine(values, params: EnumParams):
+        swapped = dataclasses.replace(params, min_row=params.min_col, min_col=params.min_row)
+        pairs, nodes = miner(np.ascontiguousarray(values.T), swapped)
+        return [(cols, rows) for rows, cols in pairs], nodes
+
+    return mine
+
+
 # bic type -> private miner: (values in model space, params) -> ((rows, cols) pairs, nodes)
 ALGORITHMS = {
     "ctv-binary": _ctv_binary,
     "cvc-p": _cvc_perfect,
     "cvc": _cvc,
-    "cvr-p": _cvr_perfect,
-    "cvr": _cvr,
+    "cvr-p": _transposed(_cvc_perfect),
+    "cvr": _transposed(_cvc),
     "chv-p": _chv_perfect,
     "chv": _chv,
 }
@@ -73,7 +90,6 @@ __all__ = [
     "AugmentedMatrix",
     "Bicluster",
     "BiclusterSolution",
-    "BinaryContext",
     "EnumParams",
     "GenConfig",
     "NumericMatrix",

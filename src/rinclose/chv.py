@@ -24,10 +24,12 @@ up as constant-column structure; the pipeline is
 3. for each of those, map its intent back to original columns, connect the
    pairs it certifies into a graph, and read candidate intents off the
    maximal cliques; a candidate survives if it uses the whole vertex set or
-   no further row fits its extent, and a registry drops repeats arising from
-   different step-2 biclusters.
+   no further row fits its extent (the kernel's joinability test on the
+   augmented columns of the candidate's pairs), and a registry drops
+   repeats arising from different step-2 biclusters.
 
-The miners ``_chv_perfect`` and ``_chv`` take the value array in model space
+Both cases first check that no pairwise column difference overflows.  The
+miners ``_chv_perfect`` and ``_chv`` take the value array in model space
 and return (rows, cols) pairs and the node count; ``enumerate_biclusters``
 owns the model transform, the timing, the sort and the stats.
 """
@@ -35,12 +37,13 @@ owns the model transform, the timing, the sort and the stats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .cliques import UndirectedGraph, maximal_cliques
 from .core import Bicluster, EnumParams
-from .cvc import _mine_cvc
+from .cvc import _joinable_mask, _mine_cvc
 from .inclose2 import _mine_groups
 
 
@@ -56,18 +59,27 @@ class AugmentedMatrix:
     pairs: tuple[tuple[int, int], ...]
 
 
+def _check_differences(values: np.ndarray) -> None:
+    """Reject a matrix whose pairwise column differences overflow.
+
+    Rounding is monotone, so a row's max - min is finite exactly when every
+    difference of two of its cells is.
+    """
+    if not np.isfinite(values.max(axis=1) - values.min(axis=1)).all():
+        raise ValueError("pairwise column differences overflow to non-finite values")
+
+
 def build_augmented(values: np.ndarray) -> AugmentedMatrix:
     """The n x m(m-1)/2 matrix of all pairwise column differences (read-only)."""
     n, m = values.shape
     if m < 2:
         raise ValueError("augmented matrix requires at least 2 columns")
+    _check_differences(values)
     out = np.empty((n, m * (m - 1) // 2))
     k = 0
     for j in range(m - 1):  # one pivot block: pairs (j, j+1), ..., (j, m-1)
         np.subtract(values[:, [j]], values[:, j + 1 :], out=out[:, k : k + m - 1 - j])
         k += m - 1 - j
-    if not np.isfinite(out).all():
-        raise ValueError("pairwise column differences overflow to non-finite values")
     out.setflags(write=False)
     pairs = tuple((j, l) for j in range(m) for l in range(j + 1, m))
     return AugmentedMatrix(values=out, pairs=pairs)
@@ -81,6 +93,7 @@ def _chv_perfect(values: np.ndarray, params: EnumParams):
     column is constant over all rows is skipped outright — every bicluster
     under it would repeat an earlier pivot's subtree.
     """
+    _check_differences(values)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
     for atr in range(values.shape[1] - 1):
@@ -116,30 +129,9 @@ def clique_candidates(
     return cands
 
 
-def _row_maximal_full(
-    values: np.ndarray, extent: tuple[int, ...], d: tuple[int, ...], eps: float
-) -> bool:
-    """No row outside the extent keeps every pairwise difference of d within eps."""
-    n = values.shape[0]
-    rows = np.asarray(extent, dtype=np.intp)
-    others = np.setdiff1d(np.arange(n, dtype=np.intp), rows)
-    if not len(others):
-        return True
-    cols = np.asarray(d, dtype=np.intp)
-    sub = values[np.ix_(rows, cols)]
-    pair = sub[:, :, None] - sub[:, None, :]  # (|extent|, c, c)
-    pmin = pair.min(axis=0)
-    pmax = pair.max(axis=0)
-    ov = values[np.ix_(others, cols)]
-    q = ov[:, :, None] - ov[:, None, :]  # (|others|, c, c)
-    joinable = ((q - pmin) <= eps).all(axis=(1, 2)) & ((pmax - q) <= eps).all(axis=(1, 2))
-    return not joinable.any()
-
-
 def extract_chv_from_cvc(
     cvc_bic: Bicluster,
     aug: AugmentedMatrix,
-    values: np.ndarray,
     epsilon: float,
     min_col: int,
     emitted: set[tuple[tuple[int, ...], tuple[int, ...]]],
@@ -147,14 +139,20 @@ def extract_chv_from_cvc(
     """Shifting biclusters contributed by one augmented-matrix bicluster.
 
     Each clique candidate (C, D) is kept iff D covers the whole vertex set B2
-    or no row outside C fits every column pair of D; ``emitted`` deduplicates
-    identical results arising from different source biclusters.
+    or no row outside C fits every column pair of D, tested on D's columns
+    of the augmented matrix; ``emitted`` deduplicates identical results
+    arising from different source biclusters.
     """
-    b2 = tuple(sorted({c for k in cvc_bic.cols for c in aug.pairs[k]}))
+    column = {aug.pairs[k]: k for k in cvc_bic.cols}  # D's pairs are among these
+    b2 = tuple(sorted({c for pair in column for c in pair}))
     kept = []
     for c_rows, d in clique_candidates(cvc_bic, aug, min_col):
-        if d != b2 and not _row_maximal_full(values, c_rows, d, epsilon):
-            continue
+        if d != b2:
+            rows = np.asarray(c_rows, dtype=np.intp)
+            others = np.setdiff1d(np.arange(aug.values.shape[0]), rows)
+            cols = [column[pair] for pair in combinations(d, 2)]
+            if _joinable_mask(aug.values, rows, cols, others, epsilon).any():
+                continue
         key = (c_rows, d)
         if key in emitted:
             continue
@@ -174,6 +172,6 @@ def _chv(values: np.ndarray, params: EnumParams):
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for rows, cols in pairs:
         out += extract_chv_from_cvc(
-            Bicluster(rows, cols), aug, values, params.epsilon, params.min_col, emitted
+            Bicluster(rows, cols), aug, params.epsilon, params.min_col, emitted
         )
     return out, nodes

@@ -42,10 +42,11 @@ children, node counts and output stay the same.  On the augmented matrix of
 ``chv`` most of the m(m-1)/2 columns of most nodes are skipped this way.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
-matrix, ``cvr`` on the transpose and ``chv`` on the augmented matrix.  The
-miners here (``_cvc``, ``_cvr``) map params onto the kernel's arguments and
-return its (rows, cols) pairs and node count; ``enumerate_biclusters`` owns
-the model transform, the timing, the sort and the stats.
+matrix, ``cvr`` on the transpose (the dispatch table's transpose rule) and
+``chv`` on the augmented matrix.  The miner here (``_cvc``) maps params onto
+the kernel's arguments and returns its (rows, cols) pairs and node count;
+``enumerate_biclusters`` owns the model transform, the timing, the sort and
+the stats.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _mine_cvc(
     while stack:
         a, b_in, y, rm = stack.pop()
         nodes += 1
-        sub = values[a]
+        sub = values[a] if len(a) < n else values  # only the root holds every row
         absorb = sub.max(axis=0) - sub.min(axis=0) <= eps
         # a column that neither joins the intent nor holds a window of
         # min_row rows creates no child, so the scan passes over it; the
@@ -228,10 +229,3 @@ def _cvc(values: np.ndarray, params: EnumParams):
     """Miner for ``cvc``: the kernel under the caller's filters."""
     return _mine_cvc(values, params.epsilon, params.min_row, params.min_col)
 
-
-def _cvr(values: np.ndarray, params: EnumParams):
-    """Miner for ``cvr``: constant columns of the transpose, swapped back."""
-    pairs, nodes = _mine_cvc(
-        np.ascontiguousarray(values.T), params.epsilon, params.min_col, params.min_row
-    )
-    return [(cols, rows) for rows, cols in pairs], nodes

@@ -28,11 +28,12 @@ disjoint, so no extent is reached twice and no registry or row-maximality
 check set is needed.
 
 Every perfect type runs this walk: ``cvc-p`` on the matrix, ``cvr-p`` on its
-transpose, ``chv-p`` once per pivot column on the differences to that column
-(see ``chv``), and ``ctv-binary`` as the case where only the 1-valued group
-of each column counts and rows holding a 0 belong to no group.  The miners
-take the value array in model space and return (rows, cols) pairs and the
-node count; ``enumerate_biclusters`` owns the timing, the sort and the stats.
+transpose (the dispatch table's transpose rule), ``chv-p`` once per pivot
+column on the differences to that column (see ``chv``), and ``ctv-binary``
+on the matrix with each 0 cell set to NaN, which joins no group, so only
+the 1-valued group of each column counts.  The miners take the value array
+in model space and return (rows, cols) pairs and the node count;
+``enumerate_biclusters`` owns the timing, the sort and the stats.
 """
 
 from __future__ import annotations
@@ -43,21 +44,6 @@ from .cliques import _bits
 from .core import EnumParams
 
 _HOT_CELLS = 1 << 22  # bytes of the 0/1 scratch block _masks packs at a time
-
-
-class BinaryContext:
-    """A 0/1 matrix with per-column row bitmasks (rows = objects, cols = attributes)."""
-
-    __slots__ = ("n", "m", "col_masks")
-
-    def __init__(self, values: np.ndarray) -> None:
-        if not np.isin(values, (0.0, 1.0)).all():
-            raise ValueError("binary context requires every entry to be 0 or 1")
-        self.n, self.m = values.shape
-        self.col_masks = [
-            int.from_bytes(np.packbits(values[:, c] == 1.0, bitorder="little").tobytes(), "little")
-            for c in range(self.m)
-        ]
 
 
 def _masks(g: np.ndarray, rows: np.ndarray, count: int, n: int) -> list[int]:
@@ -96,15 +82,16 @@ def _value_groups(values: np.ndarray, min_row: int) -> tuple[np.ndarray, list[li
 
     Returns the table gid (n x m: the number of each cell's group, -1 where
     that group is smaller) and each column's group bitmasks in that order,
-    which within a column is value order.
+    which within a column is value order.  A NaN cell belongs to no group,
+    since NaN equals nothing.
     """
     n, m = values.shape
     order = np.argsort(values, axis=0, kind="stable").T  # row j: column j's rows by value
     sv = np.take_along_axis(values.T, order, axis=1)
-    new = np.ones((m, n), dtype=bool)  # where a group starts
+    new = np.ones((m, n), dtype=bool)  # where a group starts (every NaN starts one)
     new[:, 1:] = sv[:, 1:] != sv[:, :-1]
     starts = np.flatnonzero(new)
-    keep = np.diff(starts, append=n * m) >= min_row
+    keep = (np.diff(starts, append=n * m) >= min_row) & ~np.isnan(sv.ravel()[starts])
     number = np.where(keep, np.cumsum(keep) - 1, -1)[np.cumsum(new) - 1]  # per sorted cell
     gid = np.empty((m, n), dtype=np.int64)
     np.put_along_axis(gid, order, number.reshape(m, n), axis=1)
@@ -114,33 +101,27 @@ def _value_groups(values: np.ndarray, min_row: int) -> tuple[np.ndarray, list[li
     return gid.T, [masks[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def _cover(gid: np.ndarray, groups: list[list[int]]) -> list[list[int]]:
-    """cover[r][j]: the bitmask of row r's group in column j, 0 if it has none."""
-    lut = np.empty(sum(map(len, groups)) + 1, dtype=object)
-    lut[:-1] = [g for col in groups for g in col]
-    lut[-1] = 0  # gid -1 reads the empty mask
-    return lut[gid].tolist()
-
-
-def _walk(
-    cover: list[list[int]],
-    groups: list[list[int]],
-    min_row: int,
-    min_col: int,
-    root: tuple[int, ...] = (),
+def _mine_groups(
+    values: np.ndarray, min_row: int, min_col: int, root: tuple[int, ...] = ()
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    """The bitmask closure walk over a group table; returns (pairs, node count).
+    """Maximal constant-column biclusters at epsilon = 0; returns (pairs, node count).
 
-    ``groups[j]`` holds the row bitmasks of column j's groups and
-    ``cover[r][j]`` the one holding row r (see ``_cover``).  ``root`` seeds
-    the root's intent, and the scan then starts past its last attribute.
+    The bitmask closure walk over the value groups of ``_value_groups``.
+    ``root`` seeds the root's intent, and the scan then starts past its last
+    attribute.
 
     A node is abandoned (no emission, attribute scan stopped) as soon as its
     intent cannot reach min_col even if every remaining attribute were added;
     children created before that point are still explored, since they keep
     their own chances from their earlier branch attributes.
     """
-    n, m = len(cover), len(groups)
+    gid, groups = _value_groups(values, min_row)
+    # cover[r][j]: the bitmask of row r's group in column j, 0 if it has none
+    lut = np.empty(sum(map(len, groups)) + 1, dtype=object)
+    lut[:-1] = [g for col in groups for g in col]
+    lut[-1] = 0  # gid -1 reads the empty mask
+    cover = lut[gid].tolist()
+    n, m = values.shape
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
     # stack entries: (extent mask, inherited intent (sorted tuple), start attribute)
@@ -204,35 +185,17 @@ def _walk(
     return out, nodes
 
 
-def _mine_groups(
-    values: np.ndarray, min_row: int, min_col: int, root: tuple[int, ...] = ()
-) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    """Maximal constant-column biclusters at epsilon = 0: the walk on value groups."""
-    gid, groups = _value_groups(values, min_row)
-    return _walk(_cover(gid, groups), groups, min_row, min_col, root)
-
-
 def _cvc_perfect(values: np.ndarray, params: EnumParams):
     """Miner for ``cvc-p``."""
     return _mine_groups(values, params.min_row, params.min_col)
 
 
-def _cvr_perfect(values: np.ndarray, params: EnumParams):
-    """Miner for ``cvr-p``: constant columns of the transpose, swapped back."""
-    pairs, nodes = _mine_groups(values.T, params.min_col, params.min_row)
-    return [(cols, rows) for rows, cols in pairs], nodes
-
-
 def _ctv_binary(values: np.ndarray, params: EnumParams):
     """Miner for ``ctv-binary``: all formal concepts (A, B) with |A| >= min_row, |B| >= min_col.
 
-    A column's one group is its 1-valued rows, kept if it has min_row rows
-    or more; rows holding a 0 belong to no group.
+    A column's one group is its 1-valued rows: each 0 cell becomes NaN,
+    which joins no group.
     """
-    groups = [
-        [mask] if mask.bit_count() >= params.min_row else []
-        for mask in BinaryContext(values).col_masks
-    ]
-    has = np.array([len(g) for g in groups], dtype=bool)
-    gid = np.where((values == 1.0) & has, np.cumsum(has) - 1, -1)
-    return _walk(_cover(gid, groups), groups, params.min_row, params.min_col)
+    if not np.isin(values, (0.0, 1.0)).all():
+        raise ValueError("binary context requires every entry to be 0 or 1")
+    return _mine_groups(np.where(values == 1.0, 1.0, np.nan), params.min_row, params.min_col)

@@ -63,7 +63,10 @@ def load_solution(path) -> BiclusterSolution:
     bics = []
     for k, entry in enumerate(obj):
         try:
-            bics.append(Bicluster(entry["rows"], entry["cols"]))
+            rows, cols = entry["rows"], entry["cols"]
+            if not all(type(x) is int and x >= 0 for x in (*rows, *cols)):
+                raise ValueError("indices must be non-negative integers")
+            bics.append(Bicluster(rows, cols))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad bicluster at index {k}: {exc}") from None
     return BiclusterSolution(biclusters=sort_biclusters(bics))

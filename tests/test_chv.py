@@ -44,6 +44,16 @@ def test_augmented_rejects_overflowing_differences():
         build_augmented(np.array([[1e308, -1e308]]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_both_chv_types_reject_overflowing_differences():
+    # every difference to the pivot column overflows alike, so without the
+    # check chv-p would cut one equal-difference group of inf values
+    mat = np.array([[1e308, -1e308], [1.5e308, -1e308]])
+    for params in (EnumParams(0.0, 1, 2, "chv-p"), EnumParams(0.5, 1, 2, "chv")):
+        with pytest.raises(ValueError, match="non-finite"):
+            enumerate_biclusters(mat, params)
+
+
 def test_constant_rows_give_zero_augmented():
     mat = np.array([[3.0, 3.0, 3.0], [7.0, 7.0, 7.0]])
     assert not build_augmented(mat).values.any()
@@ -127,7 +137,7 @@ def test_clique_candidates_of_worked_cvc_bicluster(table1):
 def test_extraction_drops_the_completable_candidate(table1):
     aug = build_augmented(table1)
     e = Bicluster((0, 2), (0, 3, 4, 6, 8))
-    kept = extract_chv_from_cvc(e, aug, table1, 1.0, 3, set())
+    kept = extract_chv_from_cvc(e, aug, 1.0, 3, set())
     # ({g1,g3},{m2,m3,m5}) also admits g2, so only the row-maximal one stays
     assert kept == [((0, 2), (0, 1, 4))]
 

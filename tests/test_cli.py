@@ -97,6 +97,27 @@ def test_non_binary_matrix_rejected_for_ctv(table1_csv, capsys):
     assert "0 or 1" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_differences_are_a_data_error_for_chv_p(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    save_matrix(np.array([[1e308, -1e308], [1.5e308, -1e308]]), path)
+    rc = main(["mine", "--alg", "chv-p", "--min-cols", "2", "--input", str(path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("command", ["report", "evaluate"])
+@pytest.mark.parametrize("rows", ["[0.7,true]", "[-1]", '["2"]'])
+def test_solution_indices_must_be_non_negative_integers(tmp_path, capsys, command, rows):
+    sol = tmp_path / "sol.json"
+    sol.write_text(f'[{{"rows":{rows},"cols":[0]}}]')
+    files = {"report": ["--solution", str(sol)],
+             "evaluate": ["--found", str(sol), "--reference", str(sol)]}[command]
+    assert main([command, *files, "--rows", "3", "--cols", "3"]) == 1
+    assert "bad bicluster at index 0" in capsys.readouterr().err
+
+
 def test_quiet_mode_silences_diagnostics(table1_csv, capsys, monkeypatch):
     monkeypatch.setenv("RINCLOSE_LOG", "quiet")
     assert main(mine_args(table1_csv)) == 0

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rinclose import BinaryContext, EnumParams, enumerate_biclusters, oracle_enumerate
-from rinclose.cliques import _bits
+from rinclose import EnumParams, enumerate_biclusters, oracle_enumerate
 from rinclose.cvc import _mine_cvc
 from rinclose.inclose2 import _HOT_CELLS, _mine_groups, _value_groups
 
@@ -17,21 +16,12 @@ def ctv(min_row=1, min_col=1):
 
 
 def test_context_rejects_non_binary():
-    with pytest.raises(ValueError):
-        BinaryContext(np.array([[0, 2], [1, 0]]))
-    with pytest.raises(ValueError):
-        BinaryContext(np.array([[0.5]]))
-    BinaryContext(np.array([[0.0, 1.0]]))  # floats that happen to be 0/1 are fine
-
-
-def test_derive_attr():
-    # a column's derivation (the rows with a 1 in it) is its row bitmask
-    def derive(mat, col):
-        return set(_bits(BinaryContext(mat).col_masks[col]))
-
-    assert derive(np.eye(3), 1) == {1}
-    assert derive(np.ones((4, 2)), 0) == {0, 1, 2, 3}
-    assert derive(MAT3, 0) == {0, 1}
+    with pytest.raises(ValueError, match="0 or 1"):
+        enumerate_biclusters(np.array([[0, 2], [1, 0]]), ctv())
+    with pytest.raises(ValueError, match="0 or 1"):
+        enumerate_biclusters(np.array([[0.5]]), ctv())
+    # floats that happen to be 0/1 are fine
+    assert enumerate_biclusters(np.array([[0.0, 1.0]]), ctv()).as_set() == {((0,), (1,))}
 
 
 def test_all_concepts_of_small_matrix():
@@ -209,6 +199,18 @@ def test_group_table_across_packing_blocks():
     gid, groups = _value_groups(values, 2)  # lone rows belong to no group
     assert all((gid[r, j] < 0) == (np.sum(values[:, j] == values[r, j]) < 2)
                for r in range(0, n, 7) for j in range(2))
+
+
+def test_nan_cells_belong_to_no_group():
+    # NaN equals nothing, not even another NaN, so even at min_row 1 a NaN
+    # cell gets no group id and no mask
+    nan = np.nan
+    values = np.array([[nan, 1.0], [2.0, nan], [2.0, 1.0], [nan, nan]])
+    gid, groups = _value_groups(values, 1)
+    assert gid.tolist() == [[-1, 1], [0, -1], [0, 1], [-1, -1]]
+    assert groups == [[0b0110], [0b0101]]
+    gid, groups = _value_groups(np.full((3, 2), nan), 1)
+    assert (gid == -1).all() and groups == [[], []]
 
 
 def test_group_walk_root_shorter_than_min_row():

@@ -81,6 +81,21 @@ def test_load_solution_schema_errors(tmp_path):
         load_solution(p3)
 
 
+def test_load_solution_rejects_indices_that_are_not_non_negative_integers(tmp_path):
+    path = tmp_path / "bad.json"
+    for entry in (
+        '{"rows":[0.7,true],"cols":["2"]}',
+        '{"rows":[-1],"cols":[0]}',
+        '{"rows":[0],"cols":[1.0]}',
+        '{"rows":[false],"cols":[0]}',
+        '{"rows":"01","cols":[0]}',
+        '{"rows":5,"cols":[0]}',
+    ):
+        path.write_text(f'[{{"rows":[1],"cols":[1]}},{entry}]')
+        with pytest.raises(ValueError, match="bad bicluster at index 1"):
+            load_solution(path)
+
+
 def test_load_solution_accepts_empty_array(tmp_path):
     path = tmp_path / "none.json"
     path.write_text("[]")
