@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .chv import AugmentedMatrix, _chv, _chv_perfect, build_augmented
+from .chv import _chv, _chv_perfect
 from .core import (
     Bicluster,
     BiclusterSolution,
@@ -87,7 +87,6 @@ def enumerate_biclusters(matrix, params: EnumParams) -> BiclusterSolution:
 
 __all__ = [
     "ALGORITHMS",
-    "AugmentedMatrix",
     "Bicluster",
     "BiclusterSolution",
     "EnumParams",
@@ -96,7 +95,6 @@ __all__ = [
     "SolutionReport",
     "SolutionStats",
     "as_matrix",
-    "build_augmented",
     "enumerate_biclusters",
     "generate",
     "is_maximal",

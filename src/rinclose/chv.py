@@ -28,6 +28,10 @@ up as constant-column structure; the pipeline is
    augmented columns of the candidate's pairs), and a registry drops
    repeats arising from different step-2 biclusters.
 
+The clique search of step 3 is ``maximal_cliques`` here, Bron-Kerbosch over
+neighbour bitmasks, and step 3 takes the kernel's (rows, cols) index tuples
+as they come: only ``enumerate_biclusters`` builds ``Bicluster`` objects.
+
 Both cases first check that no pairwise column difference overflows.  The
 miners ``_chv_perfect`` and ``_chv`` take the value array in model space
 and return (rows, cols) pairs and the node count; ``enumerate_biclusters``
@@ -41,10 +45,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import UndirectedGraph, maximal_cliques
-from .core import Bicluster, EnumParams
+from .core import EnumParams
 from .cvc import _joinable_mask, _mine_cvc
-from .inclose2 import _mine_groups
+from .inclose2 import _bits, _mine_groups
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,9 @@ def _check_differences(values: np.ndarray) -> None:
     Rounding is monotone, so a row's max - min is finite exactly when every
     difference of two of its cells is.
     """
-    if not np.isfinite(values.max(axis=1) - values.min(axis=1)).all():
+    with np.errstate(over="ignore"):
+        spread = values.max(axis=1) - values.min(axis=1)
+    if not np.isfinite(spread).all():
         raise ValueError("pairwise column differences overflow to non-finite values")
 
 
@@ -106,58 +111,82 @@ def _chv_perfect(values: np.ndarray, params: EnumParams):
     return out, nodes
 
 
+def maximal_cliques(adj: list[int]) -> list[tuple[int, ...]]:
+    """All maximal cliques of the graph whose vertex v has neighbour bitmask adj[v].
+
+    Bron-Kerbosch with pivoting: the pivot u of P | X has the most neighbours
+    in P, and only vertices of P outside N(u) are branched on.  Each clique
+    comes out once, isolated vertices as singletons, sorted by vertex tuple.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p | x:
+            out.append(tuple(_bits(r)))
+            return
+        u = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+        for v in _bits(p & ~adj[u]):
+            bit = 1 << v
+            expand(r | bit, p & adj[v], x & adj[v])
+            p ^= bit
+            x |= bit
+
+    if adj:
+        expand(0, (1 << len(adj)) - 1, 0)
+    return sorted(out)
+
+
 def clique_candidates(
-    cvc_bic: Bicluster, aug: AugmentedMatrix, min_col: int
+    bic: tuple[tuple[int, ...], tuple[int, ...]], aug: AugmentedMatrix, min_col: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Candidate (extent, intent) pairs read off one augmented-matrix bicluster.
 
-    The bicluster's intent names pairs of original columns whose difference
-    is near-constant over its extent; the maximal cliques of the graph on
-    those pairs are exactly the maximal mutually-coherent column sets.
-    Returns (C, D) for every maximal clique D with |D| >= min_col, before any
-    row-maximality filtering.
+    ``bic`` is the kernel's (rows, cols) pair.  Its intent names pairs of
+    original columns whose difference is near-constant over its extent; the
+    maximal cliques of the graph on those pairs are exactly the maximal
+    mutually-coherent column sets.  Returns (C, D) for every maximal clique D
+    with |D| >= min_col, before any row-maximality filtering.
     """
-    pair_set = [aug.pairs[k] for k in cvc_bic.cols]
+    rows, cols = bic
+    pair_set = [aug.pairs[k] for k in cols]
     b2 = sorted({c for pr in pair_set for c in pr})
     index = {c: i for i, c in enumerate(b2)}
-    graph = UndirectedGraph(len(b2), [(index[j], index[l]) for j, l in pair_set])
-    cands = []
-    for clique in maximal_cliques(graph):
-        d = tuple(b2[v] for v in clique)
-        if len(d) >= min_col:
-            cands.append((cvc_bic.rows, d))
-    return cands
+    adj = [0] * len(b2)
+    for j, l in pair_set:
+        adj[index[j]] |= 1 << index[l]
+        adj[index[l]] |= 1 << index[j]
+    intents = (tuple(b2[v] for v in clique) for clique in maximal_cliques(adj))
+    return [(rows, d) for d in intents if len(d) >= min_col]
 
 
 def extract_chv_from_cvc(
-    cvc_bic: Bicluster,
+    bic: tuple[tuple[int, ...], tuple[int, ...]],
     aug: AugmentedMatrix,
     epsilon: float,
     min_col: int,
     emitted: set[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Shifting biclusters contributed by one augmented-matrix bicluster.
+    """Shifting biclusters contributed by one augmented-matrix bicluster (rows, cols).
 
     Each clique candidate (C, D) is kept iff D covers the whole vertex set B2
     or no row outside C fits every column pair of D, tested on D's columns
     of the augmented matrix; ``emitted`` deduplicates identical results
-    arising from different source biclusters.
+    arising from different source biclusters.  A clique D is all of B2
+    exactly when its |D|(|D|-1)/2 pairs are all of the intent's pairs.
     """
-    column = {aug.pairs[k]: k for k in cvc_bic.cols}  # D's pairs are among these
-    b2 = tuple(sorted({c for pair in column for c in pair}))
+    rows = np.asarray(bic[0], dtype=np.intp)
+    others = np.setdiff1d(np.arange(aug.values.shape[0]), rows)  # every candidate's C is rows
+    column = {aug.pairs[k]: k for k in bic[1]}  # D's pairs are among these
     kept = []
-    for c_rows, d in clique_candidates(cvc_bic, aug, min_col):
-        if d != b2:
-            rows = np.asarray(c_rows, dtype=np.intp)
-            others = np.setdiff1d(np.arange(aug.values.shape[0]), rows)
+    for key in clique_candidates(bic, aug, min_col):
+        d = key[1]
+        if len(d) * (len(d) - 1) // 2 < len(column):
             cols = [column[pair] for pair in combinations(d, 2)]
             if _joinable_mask(aug.values, rows, cols, others, epsilon).any():
                 continue
-        key = (c_rows, d)
-        if key in emitted:
-            continue
-        emitted.add(key)
-        kept.append(key)
+        if key not in emitted:
+            emitted.add(key)
+            kept.append(key)
     return kept
 
 
@@ -170,8 +199,6 @@ def _chv(values: np.ndarray, params: EnumParams):
     pairs, nodes = _mine_cvc(aug.values, params.epsilon, params.min_row, min_pairs)
     emitted: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for rows, cols in pairs:
-        out += extract_chv_from_cvc(
-            Bicluster(rows, cols), aug, params.epsilon, params.min_col, emitted
-        )
+    for bic in pairs:
+        out += extract_chv_from_cvc(bic, aug, params.epsilon, params.min_col, emitted)
     return out, nodes

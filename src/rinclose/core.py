@@ -242,23 +242,18 @@ def is_valid(matrix, bic: Bicluster, params: EnumParams) -> bool:
     """Does the selected submatrix satisfy the residue bound of params.bic_type?
 
     The check runs in the model space (``scale`` takes logs first).  ``cvr``
-    variants evaluate the column-constancy predicate on the transpose.
+    variants take the range of each selected row, which is the
+    column-constancy predicate on the transpose.
     """
     mat = transform_for_model(matrix, params.model)
     _check_indices(mat, bic)
     t = params.bic_type
-    if t in ("cvr", "cvr-p"):
-        return is_valid(
-            transpose(mat),
-            bic.swapped(),
-            EnumParams(params.epsilon, params.min_col, params.min_row,
-                       "cvc" if t == "cvr" else "cvc-p"),
-        )
     sub = _sub(mat, bic)
     if t == "ctv-binary":
         return bool((sub == 1.0).all())
-    if t in ("cvc", "cvc-p"):
-        rng = sub.max(axis=0) - sub.min(axis=0)
+    if t in ("cvc", "cvc-p", "cvr", "cvr-p"):
+        axis = 1 if t.startswith("cvr") else 0
+        rng = sub.max(axis=axis) - sub.min(axis=axis)
         return bool((rng <= params.epsilon).all())
     # chv / chv-p: range of a_ij - a_il over the rows, for every column pair
     diffs = sub[:, :, None] - sub[:, None, :]

@@ -219,7 +219,7 @@ def _mine_cvc(
                     seen.add(rw.tobytes())
                 children.append((rw, j, child_rm))
         if not pruned and len(a) >= min_row and len(intent) >= min_col:
-            out.append((tuple(int(r) for r in a), tuple(sorted(intent))))
+            out.append((tuple(a.tolist()), tuple(sorted(intent))))
         for rw, j, child_rm in reversed(children):
             stack.append((rw, tuple(sorted(intent + [j])), j + 1, child_rm))
     return out, nodes

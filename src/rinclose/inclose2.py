@@ -40,10 +40,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cliques import _bits
 from .core import EnumParams
 
 _HOT_CELLS = 1 << 22  # bytes of the 0/1 scratch block _masks packs at a time
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first (extents here, cliques in ``chv``)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _masks(g: np.ndarray, rows: np.ndarray, count: int, n: int) -> list[int]:

@@ -15,10 +15,8 @@ import pytest
 from conftest import TABLE1, TABLE2
 
 from rinclose import (
-    Bicluster,
     EnumParams,
     GenConfig,
-    build_augmented,
     enumerate_biclusters,
     generate,
     is_valid,
@@ -27,7 +25,7 @@ from rinclose import (
     save_matrix,
     solution_report,
 )
-from rinclose.chv import clique_candidates
+from rinclose.chv import build_augmented, clique_candidates
 from rinclose.cli import main as cli_main
 
 NODE_BOUND_C = 4  # nodes_expanded <= C * (found + 1) * m^2 for the cvc family
@@ -101,7 +99,7 @@ def test_worked_example_reproduction(tmp_path, capsys):
 
         # the two quoted shifting biclusters arise as the clique candidates
         # of the pairwise-difference bicluster on rows {g1,g3}
-        e = Bicluster((0, 2), (0, 3, 4, 6, 8))
+        e = ((0, 2), (0, 3, 4, 6, 8))
         cands = clique_candidates(e, build_augmented(TABLE1), min_col=3)
         assert sorted(cands) == [((0, 2), (0, 1, 4)), ((0, 2), (1, 2, 4))]
 

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from rinclose import (
-    Bicluster,
     EnumParams,
-    build_augmented,
     enumerate_biclusters,
     is_maximal,
     is_valid,
     oracle_enumerate,
     transpose,
 )
-from rinclose.chv import clique_candidates, extract_chv_from_cvc
+from rinclose.chv import build_augmented, clique_candidates, extract_chv_from_cvc
 
 # ------------------------------------------------------------ augmented matrix
 
@@ -38,13 +36,11 @@ def test_augmented_needs_two_columns():
         build_augmented(np.array([[1.0], [2.0]]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_augmented_rejects_overflowing_differences():
     with pytest.raises(ValueError, match="non-finite"):
         build_augmented(np.array([[1e308, -1e308]]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_both_chv_types_reject_overflowing_differences():
     # every difference to the pivot column overflows alike, so without the
     # check chv-p would cut one equal-difference group of inf values
@@ -126,7 +122,7 @@ def test_clique_candidates_of_worked_cvc_bicluster(table1):
     aug = build_augmented(table1)
     # over the pairwise-difference matrix: extent {g1,g3}, intent columns
     # {1,4,5,7,9} in 1-based labels
-    e = Bicluster((0, 2), (0, 3, 4, 6, 8))
+    e = ((0, 2), (0, 3, 4, 6, 8))
     cands = clique_candidates(e, aug, min_col=3)
     assert sorted(cands) == [
         ((0, 2), (0, 1, 4)),
@@ -136,7 +132,7 @@ def test_clique_candidates_of_worked_cvc_bicluster(table1):
 
 def test_extraction_drops_the_completable_candidate(table1):
     aug = build_augmented(table1)
-    e = Bicluster((0, 2), (0, 3, 4, 6, 8))
+    e = ((0, 2), (0, 3, 4, 6, 8))
     kept = extract_chv_from_cvc(e, aug, 1.0, 3, set())
     # ({g1,g3},{m2,m3,m5}) also admits g2, so only the row-maximal one stays
     assert kept == [((0, 2), (0, 1, 4))]
@@ -145,13 +141,13 @@ def test_extraction_drops_the_completable_candidate(table1):
 def test_single_clique_intent_kept_unconditionally():
     mat = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [9.0, 0.0, 5.0]])
     aug = build_augmented(mat)
-    cvc_bic = Bicluster((0, 1), (0, 1, 2))  # all three pairs -> one triangle
+    cvc_bic = ((0, 1), (0, 1, 2))  # all three pairs -> one triangle
     assert clique_candidates(cvc_bic, aug, min_col=2) == [((0, 1), (0, 1, 2))]
 
 
 def test_small_cliques_filtered_by_min_col(table1):
     aug = build_augmented(table1)
-    e = Bicluster((0, 2), (0, 3, 4, 6, 8))
+    e = ((0, 2), (0, 3, 4, 6, 8))
     assert all(len(d) >= 4 for _, d in clique_candidates(e, aug, min_col=4))
 
 

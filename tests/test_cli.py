@@ -97,7 +97,6 @@ def test_non_binary_matrix_rejected_for_ctv(table1_csv, capsys):
     assert "0 or 1" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_differences_are_a_data_error_for_chv_p(tmp_path, capsys):
     path = tmp_path / "big.csv"
     save_matrix(np.array([[1e308, -1e308], [1.5e308, -1e308]]), path)

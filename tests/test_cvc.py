@@ -3,13 +3,13 @@ import pytest
 
 from rinclose import (
     Bicluster,
-    build_augmented,
     EnumParams,
     enumerate_biclusters,
     is_maximal,
     is_valid,
     oracle_enumerate,
 )
+from rinclose.chv import build_augmented
 from rinclose.cvc import (
     _canonical_fast,
     _fits,
@@ -245,8 +245,12 @@ def test_matches_oracle_small_matrices():
 def test_matches_oracle_at_exact_ties():
     # epsilon equal to an actual difference of decimal entries, and its two
     # float neighbours; min_row >= 3 makes most columns of most nodes hold no
-    # window, so the kernel's prefilter skips them
+    # window, so the kernel's prefilter skips them.  Each cvc trial also runs
+    # cvr on the same matrix, with the size filters swapped and epsilon on a
+    # difference within a row (from its own generator, so the other trials
+    # keep their matrices)
     rng = np.random.default_rng(43)
+    rng_cvr = np.random.default_rng(47)
     for trial in range(60):
         n = int(rng.integers(4, 11))
         m = int(rng.integers(2, 7))
@@ -259,6 +263,13 @@ def test_matches_oracle_at_exact_ties():
             params = EnumParams(eps, min_row, min_col, bt)
             found = enumerate_biclusters(vals, params)
             assert found.as_set() == oracle_enumerate(vals, params).as_set(), (trial, eps)
+        if bt == "cvc":
+            spread = vals[np.ptp(vals, axis=1) > 0]
+            for eps in _tie_epsilons(spread[int(rng_cvr.integers(len(spread)))], rng_cvr):
+                params = EnumParams(eps, min_col, min_row, "cvr")
+                found = enumerate_biclusters(vals, params)
+                assert all(is_valid(vals, b, params) for b in found), (trial, eps)
+                assert found.as_set() == oracle_enumerate(vals, params).as_set(), (trial, eps)
 
 
 def test_cvr_matches_oracle():
