@@ -55,6 +55,7 @@ def _transposed(miner):
 
 
 # bic type -> private miner: (values in model space, params) -> ((rows, cols) pairs, nodes)
+# with rows and cols nonempty, strictly increasing tuples of Python ints
 ALGORITHMS = {
     "ctv-binary": _ctv_binary,
     "cvc-p": _cvc_perfect,
@@ -72,12 +73,15 @@ def enumerate_biclusters(matrix, params: EnumParams) -> BiclusterSolution:
     Each bicluster appears exactly once, in the canonical order of
     ``sort_biclusters``.  The matrix is mapped into model space first
     (``scale`` takes logs), and the stats carry the node count and the wall
-    time of the whole call.
+    time of the whole call.  The miner's (rows, cols) tuples are sorted as
+    they are (tuple order is the canonical order) and become ``Bicluster``
+    objects without being normalized again, since every miner emits sorted,
+    unique Python ints.
     """
     t0 = time.perf_counter()
     values = transform_for_model(matrix, params.model).values
     pairs, nodes = ALGORITHMS[params.bic_type](values, params)
-    bics = sort_biclusters(Bicluster(rows, cols) for rows, cols in pairs)
+    bics = tuple(map(Bicluster._trusted, sorted(pairs)))
     return BiclusterSolution(
         biclusters=bics,
         params=params,

@@ -110,13 +110,16 @@ class Bicluster:
         object.__setattr__(self, "rows", r)
         object.__setattr__(self, "cols", c)
 
+    @classmethod
+    def _trusted(cls, pair: tuple[tuple[int, ...], tuple[int, ...]]) -> "Bicluster":
+        """A miner's (rows, cols) pair as it is: nonempty, strictly increasing Python ints."""
+        b = object.__new__(cls)
+        b.__dict__.update(rows=pair[0], cols=pair[1])
+        return b
+
     @property
     def volume(self) -> int:
         return len(self.rows) * len(self.cols)
-
-    def swapped(self) -> "Bicluster":
-        """Rows-for-columns swap (used when mining a transposed matrix)."""
-        return Bicluster(self.cols, self.rows)
 
     def to_dict(self) -> dict[str, list[int]]:
         return {"rows": list(self.rows), "cols": list(self.cols)}
@@ -234,21 +237,10 @@ def _check_indices(mat: NumericMatrix, bic: Bicluster) -> None:
         raise IndexError(f"column index out of range for {mat.n_rows}x{mat.n_cols} matrix")
 
 
-def _sub(mat: NumericMatrix, bic: Bicluster) -> np.ndarray:
-    return mat.values[np.ix_(bic.rows, bic.cols)]
-
-
-def is_valid(matrix, bic: Bicluster, params: EnumParams) -> bool:
-    """Does the selected submatrix satisfy the residue bound of params.bic_type?
-
-    The check runs in the model space (``scale`` takes logs first).  ``cvr``
-    variants take the range of each selected row, which is the
-    column-constancy predicate on the transpose.
-    """
-    mat = transform_for_model(matrix, params.model)
-    _check_indices(mat, bic)
+def _homogeneous(values: np.ndarray, rows, cols, params: EnumParams) -> bool:
+    """``is_valid``'s residue test on model-space values, for any row and column ids."""
     t = params.bic_type
-    sub = _sub(mat, bic)
+    sub = values[np.ix_(rows, cols)]
     if t == "ctv-binary":
         return bool((sub == 1.0).all())
     if t in ("cvc", "cvc-p", "cvr", "cvr-p"):
@@ -261,21 +253,30 @@ def is_valid(matrix, bic: Bicluster, params: EnumParams) -> bool:
     return bool((rng <= params.epsilon).all())
 
 
+def is_valid(matrix, bic: Bicluster, params: EnumParams) -> bool:
+    """Does the selected submatrix satisfy the residue bound of params.bic_type?
+
+    The check runs in the model space (``scale`` takes logs first).  ``cvr``
+    variants take the range of each selected row, which is the
+    column-constancy predicate on the transpose.
+    """
+    mat = transform_for_model(matrix, params.model)
+    _check_indices(mat, bic)
+    return _homogeneous(mat.values, bic.rows, bic.cols, params)
+
+
 def is_maximal(matrix, bic: Bicluster, params: EnumParams) -> bool:
     """Can no single row and no single column be added while staying valid?
 
-    Precondition: ``bic`` itself must be valid.
+    Precondition: ``bic`` itself must be valid.  The matrix is mapped into
+    model space once, and every probe is tested there.
     """
-    mat = as_matrix(matrix)
-    if not is_valid(mat, bic, params):
+    mat = transform_for_model(matrix, params.model)
+    _check_indices(mat, bic)
+    values = mat.values
+    if not _homogeneous(values, bic.rows, bic.cols, params):
         raise ValueError("is_maximal requires a valid bicluster")
     row_set, col_set = set(bic.rows), set(bic.cols)
-    for x in range(mat.n_rows):
-        if x not in row_set:
-            if is_valid(mat, Bicluster(bic.rows + (x,), bic.cols), params):
-                return False
-    for y in range(mat.n_cols):
-        if y not in col_set:
-            if is_valid(mat, Bicluster(bic.rows, bic.cols + (y,)), params):
-                return False
-    return True
+    probes = [((*bic.rows, x), bic.cols) for x in range(mat.n_rows) if x not in row_set]
+    probes += [(bic.rows, (*bic.cols, y)) for y in range(mat.n_cols) if y not in col_set]
+    return not any(_homogeneous(values, r, c, params) for r, c in probes)

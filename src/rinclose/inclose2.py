@@ -25,7 +25,8 @@ The group scan of a column also stops once fewer than min_row rows of the
 extent are left unplaced.  Children inherit
 the parent's fully closed intent without recomputation.  Groups are
 disjoint, so no extent is reached twice and no registry or row-maximality
-check set is needed.
+check set is needed.  The walk keeps each emitted extent as its row bitmask
+and decodes all of them into row tuples once, when it ends (``_decode``).
 
 Every perfect type runs this walk: ``cvc-p`` on the matrix, ``cvr-p`` on its
 transpose (the dispatch table's transpose rule), ``chv-p`` once per pivot
@@ -43,14 +44,36 @@ import numpy as np
 from .core import EnumParams
 
 _HOT_CELLS = 1 << 22  # bytes of the 0/1 scratch block _masks packs at a time
+_DECODE_BYTES = 1 << 16  # bytes of packed extent masks _decode unpacks at a time
 
 
 def _bits(mask: int):
-    """The set bits of mask, lowest first (extents here, cliques in ``chv``)."""
+    """The set bits of mask, lowest first (a node's rows here, cliques in ``chv``)."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _decode(masks: list[int], n: int) -> list[tuple[int, ...]]:
+    """``[tuple(_bits(a)) for a in masks]``, the n-bit masks decoded by numpy.
+
+    A slice of masks at a time (under _DECODE_BYTES packed) is written into
+    one byte buffer; its non-zero bytes are unpacked to bits, and the set
+    bits, listed in one pass, are cut into tuples by the masks' bit counts.
+    """
+    width = (n + 7) // 8
+    step = max(1, _DECODE_BYTES // width)
+    out: list[tuple[int, ...]] = []
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo : lo + step]
+        buf = np.frombuffer(b"".join([a.to_bytes(width, "little") for a in chunk]), np.uint8)
+        nz = np.flatnonzero(buf != 0)
+        hit = np.flatnonzero(np.unpackbits(buf[nz], bitorder="little").view(bool))
+        rows = (((nz % width) << 3)[hit >> 3] | (hit & 7)).tolist()
+        ends = np.cumsum([a.bit_count() for a in chunk]).tolist()
+        out += [tuple(rows[s:e]) for s, e in zip([0, *ends], ends)]
+    return out
 
 
 def _masks(g: np.ndarray, rows: np.ndarray, count: int, n: int) -> list[int]:
@@ -129,7 +152,8 @@ def _mine_groups(
     lut[-1] = 0  # gid -1 reads the empty mask
     cover = lut[gid].tolist()
     n, m = values.shape
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    extents: list[int] = []  # emitted extent masks, decoded when the walk ends
+    intents: list[tuple[int, ...]] = []
     nodes = 0
     # stack entries: (extent mask, inherited intent (sorted tuple), start attribute)
     stack: list[tuple[int, tuple[int, ...], int]] = [
@@ -186,10 +210,11 @@ def _mine_groups(
                 if left < min_row:
                     break
         if not pruned and size >= min_row and len(intent) >= min_col:
-            out.append((tuple(_bits(a)), tuple(sorted(intent))))
+            extents.append(a)
+            intents.append(tuple(sorted(intent)))
         for rw, j in reversed(children):
             stack.append((rw, tuple(sorted(intent + [j])), j + 1))
-    return out, nodes
+    return list(zip(_decode(extents, n), intents)), nodes
 
 
 def _cvc_perfect(values: np.ndarray, params: EnumParams):

@@ -43,10 +43,27 @@ def save_matrix(matrix, path) -> None:
     np.savetxt(path, mat.values, delimiter=",", fmt="%.17g")
 
 
+_NAMED = 1 << 16  # at most this many decimal strings in solution_to_json's table
+
+
 def solution_to_json(solution) -> str:
-    """Serialize a solution (or plain list of biclusters) deterministically."""
+    """Serialize a solution (or plain list of biclusters) deterministically.
+
+    Writes what ``json.dumps([b.to_dict() for b in bics], separators=(",",
+    ":")) + "\\n"`` writes, straight from the index tuples: indices come from
+    a table of decimal strings up to the data's largest index (at most
+    _NAMED of them), and a bicluster with an index outside the table uses str.
+    """
     bics = solution.biclusters if isinstance(solution, BiclusterSolution) else tuple(solution)
-    return json.dumps([b.to_dict() for b in bics], separators=(",", ":")) + "\n"
+    tops = [max(b.rows[-1], b.cols[-1]) for b in bics]
+    names = [str(i) for i in range(min(max(tops, default=-1) + 1, _NAMED))]
+    parts = []
+    for b, top in zip(bics, tops):
+        inside = top < _NAMED and b.rows[0] >= 0 and b.cols[0] >= 0
+        name = names.__getitem__ if inside else str
+        rows, cols = ",".join(map(name, b.rows)), ",".join(map(name, b.cols))
+        parts.append(f'{{"rows":[{rows}],"cols":[{cols}]}}')
+    return f"[{','.join(parts)}]\n"
 
 
 def save_solution(solution, path) -> None:

@@ -180,7 +180,7 @@ def oracle_enumerate(matrix, params: EnumParams) -> BiclusterSolution:
                            "cvc" if t == "cvr" else "cvc-p")
         sol = oracle_enumerate(transpose(mat), inner)
         return BiclusterSolution(
-            biclusters=sort_biclusters(b.swapped() for b in sol.biclusters),
+            biclusters=sort_biclusters(Bicluster(b.cols, b.rows) for b in sol.biclusters),
             params=params,
             stats=SolutionStats(len(sol.biclusters), 0, time.perf_counter() - t0),
         )

@@ -13,6 +13,7 @@ from rinclose import (
     generate,
     is_maximal,
     is_valid,
+    sort_biclusters,
     transform_for_model,
     transpose,
 )
@@ -73,7 +74,6 @@ def test_bicluster_normalizes_indices():
     assert b.rows == (1, 2, 3)
     assert b.cols == (0, 5)
     assert b.volume == 6
-    assert b.swapped() == Bicluster((0, 5), (1, 2, 3))
     assert b.to_dict() == {"rows": [1, 2, 3], "cols": [0, 5]}
 
 
@@ -176,7 +176,7 @@ def test_is_valid_cvr_is_cvc_on_the_transpose():
     p = EnumParams(0.5, 1, 1, "cvr")
     pt = EnumParams(0.5, 1, 1, "cvc")
     b = Bicluster([0, 1], [0, 1])
-    assert is_valid(mat, b, p) == is_valid(mat.T, b.swapped(), pt)
+    assert is_valid(mat, b, p) == is_valid(mat.T, Bicluster(b.cols, b.rows), pt)
     assert is_valid(mat, b, p)
 
 
@@ -218,6 +218,30 @@ def test_is_maximal_examples():
     assert not is_maximal(mat, Bicluster([0, 1], [2]), p)
     assert is_maximal(mat, Bicluster([0, 1, 2], [0, 2]), p)
     assert is_maximal(mat, Bicluster([0, 1], [0, 1, 2]), p)
+
+
+def test_is_maximal_scale_equals_shift_on_the_logs(monkeypatch):
+    # is_maximal maps the matrix into model space once and probes there, so
+    # under scale its answers on exp(M) are the shift answers on log(exp(M))
+    rng = np.random.default_rng(17)
+    calls = []
+    real = transform_for_model
+    monkeypatch.setattr(
+        "rinclose.core.transform_for_model", lambda m, model: calls.append(model) or real(m, model)
+    )
+    for _ in range(20):
+        mat = np.exp(rng.integers(0, 3, size=(6, 5)) / 2)
+        logs = np.log(mat)
+        for t, eps in (("cvc", 0.6), ("cvr", 0.6), ("chv", 0.6), ("chv-p", 0.0)):
+            shift = EnumParams(eps, 1, 2 if t.startswith("chv") else 1, t)
+            scale = EnumParams(eps, shift.min_row, shift.min_col, t, "scale")
+            for b in enumerate_biclusters(logs, shift).biclusters[:6]:
+                for probe in (b, Bicluster(b.rows[:1], b.cols), Bicluster(b.rows, b.cols[:2])):
+                    if not is_valid(logs, probe, shift):
+                        continue
+                    calls.clear()
+                    assert is_maximal(mat, probe, scale) == is_maximal(logs, probe, shift)
+                    assert calls == ["scale", "shift"]  # one transform per call
 
 
 def test_is_valid_on_running_example(table1):
@@ -306,3 +330,16 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window():
     digest = hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
     assert (sol.stats.nodes_expanded, len(sol), digest) == (
         13, 3, "777c08aadd5912d885e0954d2f695f8e3e7babed458b5dbe91ebaee6671a179d")
+
+
+def test_emitted_biclusters_equal_normalized_ones():
+    # enumerate_biclusters builds each Bicluster without normalizing it
+    # again; it must be indistinguishable from the public constructor's
+    for bic_type, (mat, params, _) in PINNED_RUNS.items():
+        sol = enumerate_biclusters(mat, params)
+        rebuilt = [Bicluster(b.rows, b.cols) for b in sol.biclusters]
+        assert list(sol.biclusters) == rebuilt, bic_type
+        assert [hash(b) for b in sol.biclusters] == [hash(b) for b in rebuilt], bic_type
+        assert sol.biclusters == sort_biclusters(rebuilt), bic_type
+        assert all(a < b for a, b in zip(sol.biclusters, rebuilt[1:])), bic_type
+        assert all(type(i) is int for b in sol.biclusters for i in b.rows + b.cols), bic_type

@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rinclose import EnumParams, enumerate_biclusters, oracle_enumerate
+from rinclose import EnumParams, enumerate_biclusters, inclose2, oracle_enumerate
 from rinclose.cvc import _mine_cvc
-from rinclose.inclose2 import _HOT_CELLS, _mine_groups, _value_groups
+from rinclose.inclose2 import (
+    _DECODE_BYTES,
+    _HOT_CELLS,
+    _bits,
+    _decode,
+    _mine_groups,
+    _value_groups,
+)
 
 MAT3 = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
 
@@ -249,3 +256,46 @@ def test_binary_column_without_ones():
         ((0, 1, 2), (2,)),
         ((0, 1), (0, 2)),
     }
+
+
+# ------------------------------------------- decoding the emitted extent masks
+
+
+def _decoded_like_bits(masks, n):
+    assert _decode(masks, n) == [tuple(_bits(a)) for a in masks]
+
+
+def test_decode_edge_cases():
+    assert _decode([], 5) == []
+    _decoded_like_bits([1, 0, 1], 1)  # n = 1
+    for n in (9, 13, 15, 63, 65):  # n not a multiple of 8, top bit n - 1 set
+        top = 1 << (n - 1)
+        _decoded_like_bits([top, top | 1, (1 << n) - 1, 0b1011 << (n - 4), top >> 3], n)
+    rows = _decode([(1 << 1000) - 1, 1 << 999 | 1 << 256], 1000)
+    assert rows[0] == tuple(range(1000)) and rows[1] == (256, 999)
+    assert all(type(r) is int for r in rows[0])
+
+
+def test_decode_across_chunk_seams(monkeypatch):
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 8, 20, 130):
+        masks = [int.from_bytes(rng.bytes(n), "little") % (1 << n) for _ in range(40)]
+        masks[-1] |= 1 << (n - 1)  # the last mask of the run holds the top row
+        for budget in (1, 2, 3, 5, 16, 17 * ((n + 7) // 8)):  # chunks of 1, 2, ... masks
+            monkeypatch.setattr(inclose2, "_DECODE_BYTES", budget)
+            _decoded_like_bits(masks, n)
+    monkeypatch.undo()
+    # at the real budget: one mask more than a chunk holds, the last one in a
+    # chunk of its own
+    n = 20
+    step = _DECODE_BYTES // ((n + 7) // 8)
+    masks = [(k * 2654435761) % (1 << n) | 1 for k in range(step + 1)]
+    _decoded_like_bits(masks, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 80).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20))))
+def test_decode_matches_bits(case):
+    n, masks = case
+    _decoded_like_bits(masks, n)

@@ -1,9 +1,19 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rinclose import Bicluster, load_matrix, load_solution, save_matrix, save_solution
+from rinclose import (
+    Bicluster,
+    BiclusterSolution,
+    load_matrix,
+    load_solution,
+    save_matrix,
+    save_solution,
+)
 from rinclose.io import solution_to_json
 
 
@@ -64,6 +74,54 @@ def test_solution_json_is_deterministic_and_compact():
     text = solution_to_json(bics)
     assert text == '[{"rows":[0,1],"cols":[2]}]\n'
     assert solution_to_json(list(bics)) == text
+
+
+def _dumps(bics):
+    return json.dumps([b.to_dict() for b in bics], separators=(",", ":")) + "\n"
+
+
+def test_solution_json_equals_json_dumps_on_edge_cases():
+    cases = [
+        [],
+        [Bicluster([4], [0, 1, 2])],  # one row
+        [Bicluster([0, 1, 2], [7])],  # one column
+        [Bicluster([0], [0])],
+        [Bicluster([999_999, 1_000_000, 1_000_001], [3]), Bicluster([2], [10**6, 2**40])],
+        [Bicluster([0, 65_535, 65_536], [1]), Bicluster([1, 2], [0])],  # around the table cap
+        [Bicluster([-3, 2], [-1, 0])],  # the public constructor admits negative ids
+    ]
+    for bics in cases:
+        expected = _dumps(bics)
+        assert solution_to_json(bics) == expected  # a plain list
+        assert solution_to_json(tuple(bics)) == expected
+        assert solution_to_json(BiclusterSolution(biclusters=tuple(bics))) == expected
+    assert solution_to_json([]) == "[]\n"
+
+
+def test_solution_json_table_is_sized_by_the_data():
+    # one bicluster with an index of 10^12 must not build a table up to it
+    bics = [Bicluster([0, 10**12], [1]), Bicluster([5], [6, 7])]
+    tracemalloc.start()
+    try:
+        text = solution_to_json(bics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _dumps(bics)
+    assert peak < 16 << 20
+
+
+index_sets = st.sets(
+    st.one_of(st.integers(-3, 40), st.integers(0, 2**70)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(index_sets, index_sets), max_size=8))
+def test_solution_json_equals_json_dumps(drawn):
+    bics = [Bicluster(rows, cols) for rows, cols in drawn]
+    assert solution_to_json(bics) == _dumps(bics)
+    assert json.loads(solution_to_json(bics)) == [b.to_dict() for b in bics]
 
 
 def test_load_solution_schema_errors(tmp_path):
