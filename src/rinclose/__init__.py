@@ -75,13 +75,13 @@ def enumerate_biclusters(matrix, params: EnumParams) -> BiclusterSolution:
     (``scale`` takes logs), and the stats carry the node count and the wall
     time of the whole call.  The miner's (rows, cols) tuples are sorted as
     they are (tuple order is the canonical order) and become ``Bicluster``
-    objects without being normalized again, since every miner emits sorted,
-    unique Python ints.
+    named tuples through ``_make``, without being normalized again, since
+    every miner emits sorted, unique Python ints.
     """
     t0 = time.perf_counter()
     values = transform_for_model(matrix, params.model).values
     pairs, nodes = ALGORITHMS[params.bic_type](values, params)
-    bics = tuple(map(Bicluster._trusted, sorted(pairs)))
+    bics = tuple(map(Bicluster._make, sorted(pairs)))
     return BiclusterSolution(
         biclusters=bics,
         params=params,

@@ -24,6 +24,7 @@ Indices are 0-based everywhere, including file formats.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -91,31 +92,22 @@ def as_matrix(obj) -> NumericMatrix:
     return NumericMatrix(obj)
 
 
-@dataclass(frozen=True, order=True)
-class Bicluster:
+class Bicluster(namedtuple("Bicluster", ("rows", "cols"))):
     """A submatrix selection: sorted row ids and sorted column ids.
 
     Both index tuples are normalized to strictly increasing order; empty
-    selections are rejected.
+    selections are rejected.  A named tuple, it compares, hashes and sorts
+    as its plain (rows, cols) pair; ``_make`` takes a normalized pair as is.
     """
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[int], cols: Iterable[int]) -> None:
+    def __new__(cls, rows: Iterable[int], cols: Iterable[int]) -> "Bicluster":
         r = tuple(sorted(set(map(int, rows))))
         c = tuple(sorted(set(map(int, cols))))
         if not r or not c:
             raise ValueError("bicluster rows and cols must be nonempty")
-        object.__setattr__(self, "rows", r)
-        object.__setattr__(self, "cols", c)
-
-    @classmethod
-    def _trusted(cls, pair: tuple[tuple[int, ...], tuple[int, ...]]) -> "Bicluster":
-        """A miner's (rows, cols) pair as it is: nonempty, strictly increasing Python ints."""
-        b = object.__new__(cls)
-        b.__dict__.update(rows=pair[0], cols=pair[1])
-        return b
+        return super().__new__(cls, r, c)
 
     @property
     def volume(self) -> int:
@@ -194,13 +186,13 @@ class BiclusterSolution:
     def __iter__(self):
         return iter(self.biclusters)
 
-    def as_set(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return frozenset((b.rows, b.cols) for b in self.biclusters)
+    def as_set(self) -> frozenset[Bicluster]:
+        return frozenset(self.biclusters)
 
 
 def sort_biclusters(bics: Iterable[Bicluster]) -> tuple[Bicluster, ...]:
     """Canonical solution order: lexicographic by (rows, cols)."""
-    return tuple(sorted(bics, key=lambda b: (b.rows, b.cols)))
+    return tuple(sorted(bics))
 
 
 def transform_for_model(matrix, model: str) -> NumericMatrix:

@@ -28,7 +28,9 @@ on precomputed groups instead, and this kernel serves epsilon > 0 only.
 Called with epsilon = 0 it walks the same tree as that walk, without
 registry or RM; the tests use this to cross-check the two.  The guards'
 off-switches are private to the kernel, for the tests that show each guard
-is needed.  The registry is a plain set of extent bytes.
+is needed.  The registry is a plain set of extent bytes.  A node's intent
+is one column bitmask, and the emitted ones are decoded into column tuples
+once, when the walk ends (``inclose2._decode``).
 
 Each node first sorts its extent's values column by column (values only, a
 block of columns at a time) and marks the columns holding an epsilon-window
@@ -56,6 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import EnumParams
+from .inclose2 import _bits, _decode
 
 _BLOCK = 256  # columns per sort in _fits
 
@@ -107,14 +110,13 @@ def _joinable_mask(
     return ((cv - cmin) <= eps).all(axis=1) & ((cmax - cv) <= eps).all(axis=1)
 
 
-def _canonical_fast(values: np.ndarray, rw: np.ndarray, bset: set[int], j: int, eps: float) -> bool:
-    """Vectorized canonicity scan over attributes < j outside the intent."""
+def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, j: int, eps: float) -> bool:
+    """Vectorized canonicity scan over attributes < j outside the intent mask b."""
     if j == 0:
         return True
     sub = values[rw, :j]
     fit = sub.max(axis=0) - sub.min(axis=0) <= eps
-    fit[[k for k in bset if k < j]] = False
-    return not fit.any()
+    return all(b >> k & 1 for k in np.flatnonzero(fit).tolist())
 
 
 def _fits(sub: np.ndarray, eps: float, min_row: int) -> np.ndarray:
@@ -156,15 +158,16 @@ def _mine_cvc(
     # the one that emits the bicluster
     seen: set[bytes] | None = set() if use_registry and eps > 0 else None
     track_rm = use_rm and eps > 0
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    extents: list[tuple[int, ...]] = []
+    intents: list[int] = []  # emitted intent masks, decoded when the walk ends
     nodes = 0
     empty = np.empty(0, dtype=np.intp)
-    # stack entries: (extent row ids sorted, inherited intent, start attr, check-set RM)
-    stack: list[tuple[np.ndarray, tuple[int, ...], int, np.ndarray]] = [
-        (np.arange(n, dtype=np.intp), (), 0, empty)
+    # stack entries: (extent row ids sorted, inherited intent mask, start attr, check-set RM)
+    stack: list[tuple[np.ndarray, int, int, np.ndarray]] = [
+        (np.arange(n, dtype=np.intp), 0, 0, empty)
     ]
     while stack:
-        a, b_in, y, rm = stack.pop()
+        a, b, y, rm = stack.pop()
         nodes += 1
         sub = values[a] if len(a) < n else values  # only the root holds every row
         absorb = sub.max(axis=0) - sub.min(axis=0) <= eps
@@ -173,19 +176,16 @@ def _mine_cvc(
         # min_col prune could fire on such a column only when the intent is
         # already too short to emit, and then fires on the next one scanned
         scan = np.flatnonzero(absorb[y:] | _fits(sub[:, y:], eps, min_row)) + y
-        intent = list(b_in)
-        bset = set(b_in)
         children: list[tuple[np.ndarray, int, np.ndarray]] = []
         pruned = False
         for j in scan.tolist():
-            if j in bset:
+            if b >> j & 1:
                 continue
-            if len(intent) + (m - j) < min_col:
+            if b.bit_count() + (m - j) < min_col:
                 pruned = True
                 break
             if absorb[j]:
-                intent.append(j)
-                bset.add(j)
+                b |= 1 << j
                 continue
             vals = sub[:, j]
             order = np.lexsort((a, vals))
@@ -197,7 +197,7 @@ def _mine_cvc(
                 if e - p < min_row:
                     continue
                 rw = np.sort(sids[p:e])
-                if not _canonical_fast(values, rw, bset, j, eps):
+                if not _canonical_fast(values, rw, b, j, eps):
                     continue
                 if seen is not None and rw.tobytes() in seen:
                     continue
@@ -212,17 +212,18 @@ def _mine_cvc(
                     rm_window = np.concatenate((sids[below], sids[above]))
                     child_rm = np.union1d(rm, rm_window)
                     if len(child_rm) and _joinable_mask(
-                        values, rw, intent + [j], child_rm, eps
+                        values, rw, list(_bits(b | 1 << j)), child_rm, eps
                     ).any():
                         continue  # some tracked row completes it: not row-maximal
                 if seen is not None:
                     seen.add(rw.tobytes())
                 children.append((rw, j, child_rm))
-        if not pruned and len(a) >= min_row and len(intent) >= min_col:
-            out.append((tuple(a.tolist()), tuple(sorted(intent))))
+        if not pruned and len(a) >= min_row and b.bit_count() >= min_col:
+            extents.append(tuple(a.tolist()))
+            intents.append(b)
         for rw, j, child_rm in reversed(children):
-            stack.append((rw, tuple(sorted(intent + [j])), j + 1, child_rm))
-    return out, nodes
+            stack.append((rw, b | 1 << j, j + 1, child_rm))
+    return list(zip(extents, _decode(intents, m))), nodes
 
 
 def _cvc(values: np.ndarray, params: EnumParams):

@@ -25,8 +25,9 @@ The group scan of a column also stops once fewer than min_row rows of the
 extent are left unplaced.  Children inherit
 the parent's fully closed intent without recomputation.  Groups are
 disjoint, so no extent is reached twice and no registry or row-maximality
-check set is needed.  The walk keeps each emitted extent as its row bitmask
-and decodes all of them into row tuples once, when it ends (``_decode``).
+check set is needed.  A node's extent is a row bitmask and its intent a
+column bitmask; the walk keeps the emitted masks and decodes all of them
+into index tuples once, when it ends (``_decode``).
 
 Every perfect type runs this walk: ``cvc-p`` on the matrix, ``cvr-p`` on its
 transpose (the dispatch table's transpose rule), ``chv-p`` once per pivot
@@ -152,26 +153,24 @@ def _mine_groups(
     lut[-1] = 0  # gid -1 reads the empty mask
     cover = lut[gid].tolist()
     n, m = values.shape
-    extents: list[int] = []  # emitted extent masks, decoded when the walk ends
-    intents: list[tuple[int, ...]] = []
+    extents: list[int] = []  # emitted extent and intent masks, decoded when the walk ends
+    intents: list[int] = []
     nodes = 0
-    # stack entries: (extent mask, inherited intent (sorted tuple), start attribute)
-    stack: list[tuple[int, tuple[int, ...], int]] = [
-        ((1 << n) - 1, root, root[-1] + 1 if root else 0)
+    # stack entries: (extent mask, inherited intent mask, start attribute)
+    stack: list[tuple[int, int, int]] = [
+        ((1 << n) - 1, sum(1 << c for c in root), root[-1] + 1 if root else 0)
     ]
     while stack:
-        a, b_in, y = stack.pop()
+        a, b, y = stack.pop()
         nodes += 1
         size = a.bit_count()
         rows = None  # the extent's rows, listed when a column needs them
-        intent = list(b_in)
-        bset = set(b_in)
         children: list[tuple[int, int]] = []
         pruned = False
         for j in range(y, m):
-            if j in bset:
+            if b >> j & 1:
                 continue
-            if len(intent) + (m - j) < min_col:
+            if b.bit_count() + (m - j) < min_col:
                 pruned = True
                 break
             gs = groups[j]
@@ -197,24 +196,23 @@ def _mine_groups(
                 k = g.bit_count()
                 if k >= min_row:
                     if k == size:  # the extent fits inside one group: absorb
-                        intent.append(j)
-                        bset.add(j)
+                        b |= 1 << j
                         break
                     # canonicity: an earlier non-intent attribute covering g
                     # means this extent was (or will be) produced in an
                     # earlier subtree
                     c = cover[(g & -g).bit_length() - 1]
-                    if not any(g & c[e] == g for e in range(j) if e not in bset):
+                    if not any(g & c[e] == g for e in range(j) if not b >> e & 1):
                         children.append((g, j))
                 left -= k
                 if left < min_row:
                     break
-        if not pruned and size >= min_row and len(intent) >= min_col:
+        if not pruned and size >= min_row and b.bit_count() >= min_col:
             extents.append(a)
-            intents.append(tuple(sorted(intent)))
+            intents.append(b)
         for rw, j in reversed(children):
-            stack.append((rw, tuple(sorted(intent + [j])), j + 1))
-    return list(zip(_decode(extents, n), intents)), nodes
+            stack.append((rw, b | 1 << j, j + 1))
+    return list(zip(_decode(extents, n), _decode(intents, m))), nodes
 
 
 def _cvc_perfect(values: np.ndarray, params: EnumParams):

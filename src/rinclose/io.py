@@ -14,24 +14,25 @@ import numpy as np
 from .core import Bicluster, BiclusterSolution, NumericMatrix, as_matrix, sort_biclusters
 
 
-def _sniff_delimiter(sample: str) -> str | None:
-    """Pick the most plausible cell separator; None means any whitespace."""
-    first = sample.splitlines()[0] if sample.splitlines() else ""
-    for cand in (",", "\t", ";"):
-        if cand in first:
-            return cand
-    return None
+def _sniff_delimiter(fh) -> str | None:
+    """The cell separator of the first line ``np.loadtxt`` reads (it passes
+    over blank and ``#`` comment lines); None means any whitespace."""
+    for line in fh:
+        data = line.split("#", 1)[0]
+        if data.strip():
+            return next((c for c in (",", "\t", ";") if c in data), None)
+    raise ValueError("no data lines")
 
 
 def load_matrix(path) -> NumericMatrix:
     """Load a dense numeric matrix from a CSV/TSV/whitespace text file.
 
-    The cell separator is sniffed from the first line.
+    The cell separator is sniffed from the first data line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        sample = fh.read(4096)
     try:
-        arr = np.loadtxt(path, delimiter=_sniff_delimiter(sample), ndmin=2)
+        with open(path, "r", encoding="utf-8") as fh:
+            delimiter = _sniff_delimiter(fh)
+        arr = np.loadtxt(path, delimiter=delimiter, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"could not parse numeric matrix from {path}: {exc}") from None
     return NumericMatrix(arr)
@@ -74,7 +75,10 @@ def save_solution(solution, path) -> None:
 def load_solution(path) -> BiclusterSolution:
     """Read a JSON bicluster array back into a BiclusterSolution."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, list):
         raise ValueError(f"{path}: expected a JSON array of biclusters")
     bics = []

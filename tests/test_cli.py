@@ -106,6 +106,28 @@ def test_overflowing_differences_are_a_data_error_for_chv_p(tmp_path, capsys):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n# no data here\n"])
+def test_matrix_without_data_lines_is_one_error_line(tmp_path, capsys, recwarn, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    assert main(["mine", "--alg", "cvc-p", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not recwarn.list  # a warning would reach standard error as well
+
+
+@pytest.mark.parametrize("broken", ["--found", "--reference"])
+def test_evaluate_names_the_malformed_solution_file(tmp_path, capsys, broken):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('[{"rows":[0],"cols":[0]}]')
+    bad.write_text("not json")
+    files = {"--found": good, "--reference": good, broken: bad}
+    argv = ["evaluate", *(x for kv in files.items() for x in map(str, kv))]
+    assert main([*argv, "--rows", "3", "--cols", "3"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: Expecting value")
+
+
 @pytest.mark.parametrize("command", ["report", "evaluate"])
 @pytest.mark.parametrize("rows", ["[0.7,true]", "[-1]", '["2"]'])
 def test_solution_indices_must_be_non_negative_integers(tmp_path, capsys, command, rows):

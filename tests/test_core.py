@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -82,6 +84,37 @@ def test_bicluster_rejects_empty():
         Bicluster([], [0])
     with pytest.raises(ValueError):
         Bicluster([0], [])
+
+
+def test_bicluster_pickle_and_deepcopy_keep_normalization():
+    b = Bicluster([3, 1, 1, 2], (5, 0))
+    for twin in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+        assert type(twin) is Bicluster and twin == b
+        assert (twin.rows, twin.cols) == ((1, 2, 3), (0, 5))
+
+
+def test_bicluster_keyword_construction():
+    b = Bicluster(rows=[2, 0, 2], cols=(1,))
+    assert b == Bicluster([0, 2], [1]) and b.rows == (0, 2)
+    with pytest.raises(ValueError):
+        Bicluster(rows=[], cols=[0])
+
+
+def test_bicluster_equals_its_plain_pair():
+    b = Bicluster([2, 0], [1])
+    assert b == ((0, 2), (1,)) and hash(b) == hash(((0, 2), (1,)))
+    rows, cols = b
+    assert (rows, cols) == (b.rows, b.cols)
+
+
+def test_sort_biclusters_orders_by_rows_then_cols():
+    # index sets of 1..3 out of few ids, so shared rows and prefixes are common
+    rng = np.random.default_rng(5)
+    bics = [Bicluster(rng.choice(5, size=rng.integers(1, 4), replace=False),
+                      rng.choice(4, size=rng.integers(1, 4), replace=False))
+            for _ in range(300)]
+    rng.shuffle(bics)
+    assert sort_biclusters(bics) == tuple(sorted(bics, key=lambda b: (b.rows, b.cols)))
 
 
 def test_params_defaults_and_errors():

@@ -97,7 +97,7 @@ def test_fits_agrees_with_the_windows_at_ties():
 
 def _canonical(values, rw, b, j, eps):
     return _canonical_fast(np.asarray(values, dtype=float), np.asarray(rw, dtype=np.intp),
-                           set(b), j, eps)
+                           sum(1 << k for k in b), j, eps)
 
 
 def test_canonical_no_earlier_attributes():

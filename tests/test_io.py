@@ -44,6 +44,14 @@ def test_load_matrix_sniffs_delimiters(tmp_path):
     assert np.array_equal(load_matrix(ws).values, [[1, 2], [3, 4]])
 
 
+def test_load_matrix_sniffs_the_first_line_loadtxt_reads(tmp_path):
+    # np.loadtxt passes over blank lines and # comments, so the sniffer does too
+    path = tmp_path / "m.csv"
+    for head in ("\n", "# note\n", "\n# a b c\n\n"):
+        path.write_text(f"{head}1,2\n3,4\n")
+        assert np.array_equal(load_matrix(path).values, [[1, 2], [3, 4]]), head
+
+
 def test_load_matrix_single_row_is_still_2d(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("5,6,7\n")
@@ -151,6 +159,14 @@ def test_load_solution_rejects_indices_that_are_not_non_negative_integers(tmp_pa
     ):
         path.write_text(f'[{{"rows":[1],"cols":[1]}},{entry}]')
         with pytest.raises(ValueError, match="bad bicluster at index 1"):
+            load_solution(path)
+
+
+def test_load_solution_names_the_file_of_malformed_json(tmp_path):
+    path = tmp_path / "broken.json"
+    for text in ("", '[{"rows":[0]'):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"broken\.json: Expecting"):
             load_solution(path)
 
 
