@@ -8,7 +8,8 @@ row.  Multiplicative coherence reduces to this by mining the elementwise log
 Perfect case (epsilon = 0): coherence with a single pivot column transfers
 exactly to all column pairs, so the search makes one call of the bitmask
 walk of ``inclose2`` per pivot column atr, on the differences
-values[:, atr] - values with the root's intent seeded by atr.  The walk
+values[:, atr] - values with the scan starting at atr.  The pivot's own
+difference column is all zeros, so the root absorbs it.  The walk
 branches on equal-difference row groups and tests canonicity against all
 earlier columns.  The transfer is exact when those differences are exactly
 representable (integers, dyadic values); see the README.
@@ -93,8 +94,8 @@ def build_augmented(values: np.ndarray) -> AugmentedMatrix:
 def _chv_perfect(values: np.ndarray, params: EnumParams):
     """Miner for ``chv-p``: one bitmask walk per pivot column.
 
-    The pivot is the smallest column of every intent found under it, and only
-    later columns are scanned.  A pivot whose difference with some earlier
+    The pivot is the smallest column of every intent found under it, and the
+    scan starts at it.  A pivot whose difference with some earlier
     column is constant over all rows is skipped outright — every bicluster
     under it would repeat an earlier pivot's subtree.
     """
@@ -105,7 +106,7 @@ def _chv_perfect(values: np.ndarray, params: EnumParams):
         z = values[:, [atr]] - values  # differences vs the pivot column
         if (np.ptp(z[:, :atr], axis=0) == 0.0).any():
             continue
-        pairs, k = _mine_groups(z, params.min_row, params.min_col, root=(atr,))
+        pairs, k = _mine_groups(z, params.min_row, params.min_col, start=atr)
         out += pairs
         nodes += k
     return out, nodes

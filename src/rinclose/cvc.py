@@ -32,16 +32,20 @@ is needed.  The registry is a plain set of extent bytes.  A node's intent
 is one column bitmask, and the emitted ones are decoded into column tuples
 once, when the walk ends (``inclose2._decode``).
 
-Each node first sorts its extent's values column by column (values only, a
-block of columns at a time) and marks the columns holding an epsilon-window
-of at least min_row rows; the attribute loop then visits only those and the
-columns the intent absorbs.  The skip is exact: the window test uses
-the same subtraction as ``_window_ends``, and floating-point subtraction is
-monotone in its first operand, so a window of min_row rows starts at sorted
-position p iff s[p + min_row - 1] - s[p] <= epsilon.  A skipped column would
-have created no child, so the registry, RM and canonicity never see it, and
-children, node counts and output stay the same.  On the augmented matrix of
-``chv`` most of the m(m-1)/2 columns of most nodes are skipped this way.
+Each node sorts its extent's values once, column by column from its start
+attribute (values only, a block of columns at a time), and reads both tests
+off that sort: a column whose range s[-1] - s[0] is within epsilon is
+absorbed, and a column holding an epsilon-window of at least min_row rows
+is cut; the attribute loop visits only those.  The skip is exact: the
+window test uses the same subtraction as ``_windows``, and floating-point
+subtraction is monotone in its first operand, so a window of min_row rows
+starts at sorted position p iff s[p + min_row - 1] - s[p] <= epsilon.  A
+skipped column would have created no child, so the registry, RM and
+canonicity never see it, and children, node counts and output stay the
+same.  On the augmented matrix of ``chv`` most of the m(m-1)/2 columns of
+most nodes are skipped this way.  A cut column is ordered by a stable sort
+(the extent's rows ascend, so ties keep row order), and ``_windows`` selects
+its maximal windows of min_row rows or more with array operations.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
 matrix, ``cvr`` on the transpose (the dispatch table's transpose rule) and
@@ -63,12 +67,15 @@ from .inclose2 import _bits, _decode
 _BLOCK = 256  # columns per sort in _fits
 
 
-def _window_ends(sv: np.ndarray, eps: float) -> np.ndarray:
-    """ends[p] = one past the last index q with sv[q] - sv[p] <= eps.
+def _windows(sv: np.ndarray, eps: float, min_row: int) -> list[tuple[int, int]]:
+    """(start, end) of each maximal eps-window of sv holding at least min_row rows.
 
-    sv must be sorted ascending.  searchsorted gives a first guess; the exact
-    boundary is then settled with the same subtraction the validity predicate
-    uses, so windows and is_valid can never disagree on a tie.
+    sv must be sorted ascending.  The window starting at p ends one past the
+    last index q with sv[q] - sv[p] <= eps: searchsorted gives a first guess,
+    and the exact boundary is then settled with the same subtraction the
+    validity predicate uses, so windows and is_valid can never disagree on a
+    tie.  Ends are non-decreasing, so a window is maximal iff it reaches
+    strictly beyond its predecessor's end (start 0 always does).
     """
     n = len(sv)
     ends = np.searchsorted(sv, sv + eps, side="right").astype(np.int64)
@@ -81,17 +88,11 @@ def _window_ends(sv: np.ndarray, eps: float) -> np.ndarray:
         while e - 1 > p and sv[e - 1] - sv[p] > eps:
             e -= 1
         ends[p] = e
-    return ends
-
-
-def _window_starts(ends: np.ndarray) -> list[int]:
-    """Starts of maximal windows: those reaching strictly beyond their predecessor.
-
-    Relies on ends being non-decreasing, which holds for sorted values.
-    """
-    starts = np.flatnonzero(ends[1:] > ends[:-1])
-    starts += 1
-    return [0, *starts.tolist()]
+    maximal = np.ones(n, dtype=bool)
+    maximal[1:] = ends[1:] > ends[:-1]
+    starts = np.flatnonzero(maximal)
+    starts = starts[ends[starts] - starts >= min_row]
+    return list(zip(starts.tolist(), ends[starts].tolist()))
 
 
 def _joinable_mask(
@@ -119,22 +120,23 @@ def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, j: int, eps: flo
     return all(b >> k & 1 for k in np.flatnonzero(fit).tolist())
 
 
-def _fits(sub: np.ndarray, eps: float, min_row: int) -> np.ndarray:
-    """Per column of sub: does some eps-window hold at least min_row rows?
+def _fits(sub: np.ndarray, eps: float, min_row: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of sub: is its range <= eps, and does some eps-window hold min_row rows?
 
-    Tests s[p + min_row - 1] - s[p] <= eps on the sorted column, the
-    subtraction ``_window_ends`` cuts with (see the module docstring for why
-    that is exact).  Columns are sorted _BLOCK at a time to bound the scratch
-    memory.
+    Both are read off one sort of the column: the range is s[-1] - s[0], and
+    the window test is s[p + min_row - 1] - s[p] <= eps, the subtraction
+    ``_windows`` cuts with (see the module docstring for why that is exact).
+    Columns are sorted _BLOCK at a time to bound the scratch memory.
     """
     k, m = sub.shape
+    absorb = np.zeros(m, dtype=bool)
     fits = np.zeros(m, dtype=bool)
-    if k < min_row:
-        return fits
     for lo in range(0, m, _BLOCK):
         s = np.sort(sub[:, lo : lo + _BLOCK], axis=0)
-        fits[lo : lo + _BLOCK] = ((s[min_row - 1 :] - s[: k - min_row + 1]) <= eps).any(axis=0)
-    return fits
+        absorb[lo : lo + _BLOCK] = s[-1] - s[0] <= eps
+        if k >= min_row:
+            fits[lo : lo + _BLOCK] = ((s[min_row - 1 :] - s[: k - min_row + 1]) <= eps).any(axis=0)
+    return absorb, fits
 
 
 def _mine_cvc(
@@ -170,32 +172,27 @@ def _mine_cvc(
         a, b, y, rm = stack.pop()
         nodes += 1
         sub = values[a] if len(a) < n else values  # only the root holds every row
-        absorb = sub.max(axis=0) - sub.min(axis=0) <= eps
+        absorb, fits = _fits(sub[:, y:], eps, min_row)
         # a column that neither joins the intent nor holds a window of
         # min_row rows creates no child, so the scan passes over it; the
         # min_col prune could fire on such a column only when the intent is
         # already too short to emit, and then fires on the next one scanned
-        scan = np.flatnonzero(absorb[y:] | _fits(sub[:, y:], eps, min_row)) + y
         children: list[tuple[np.ndarray, int, np.ndarray]] = []
         pruned = False
-        for j in scan.tolist():
+        for j in (np.flatnonzero(absorb | fits) + y).tolist():
             if b >> j & 1:
                 continue
             if b.bit_count() + (m - j) < min_col:
                 pruned = True
                 break
-            if absorb[j]:
+            if absorb[j - y]:
                 b |= 1 << j
                 continue
-            vals = sub[:, j]
-            order = np.lexsort((a, vals))
-            sv = vals[order]
+            # a's rows ascend, so a stable sort keeps tied values in row order
+            order = np.argsort(sub[:, j], kind="stable")
+            sv = sub[order, j]
             sids = a[order]
-            ends = _window_ends(sv, eps)
-            for p in _window_starts(ends):
-                e = int(ends[p])
-                if e - p < min_row:
-                    continue
+            for p, e in _windows(sv, eps, min_row):
                 rw = np.sort(sids[p:e])
                 if not _canonical_fast(values, rw, b, j, eps):
                     continue

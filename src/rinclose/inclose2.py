@@ -133,13 +133,12 @@ def _value_groups(values: np.ndarray, min_row: int) -> tuple[np.ndarray, list[li
 
 
 def _mine_groups(
-    values: np.ndarray, min_row: int, min_col: int, root: tuple[int, ...] = ()
+    values: np.ndarray, min_row: int, min_col: int, start: int = 0
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """Maximal constant-column biclusters at epsilon = 0; returns (pairs, node count).
 
     The bitmask closure walk over the value groups of ``_value_groups``.
-    ``root`` seeds the root's intent, and the scan then starts past its last
-    attribute.
+    The root scans attributes from ``start`` on.
 
     A node is abandoned (no emission, attribute scan stopped) as soon as its
     intent cannot reach min_col even if every remaining attribute were added;
@@ -157,9 +156,7 @@ def _mine_groups(
     intents: list[int] = []
     nodes = 0
     # stack entries: (extent mask, inherited intent mask, start attribute)
-    stack: list[tuple[int, int, int]] = [
-        ((1 << n) - 1, sum(1 << c for c in root), root[-1] + 1 if root else 0)
-    ]
+    stack: list[tuple[int, int, int]] = [((1 << n) - 1, 0, start)]
     while stack:
         a, b, y = stack.pop()
         nodes += 1

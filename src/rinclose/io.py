@@ -8,31 +8,29 @@ same schema for mined output, ground truth and evaluation input.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from .core import Bicluster, BiclusterSolution, NumericMatrix, as_matrix, sort_biclusters
 
 
-def _sniff_delimiter(fh) -> str | None:
-    """The cell separator of the first line ``np.loadtxt`` reads (it passes
-    over blank and ``#`` comment lines); None means any whitespace."""
-    for line in fh:
-        data = line.split("#", 1)[0]
-        if data.strip():
-            return next((c for c in (",", "\t", ";") if c in data), None)
-    raise ValueError("no data lines")
-
-
 def load_matrix(path) -> NumericMatrix:
     """Load a dense numeric matrix from a CSV/TSV/whitespace text file.
 
-    The cell separator is sniffed from the first data line.
+    Blank, whitespace-only and ``#`` comment lines and a UTF-8 byte order
+    mark are passed over.  The cell separator is sniffed from the first data
+    line: a comma, tab or semicolon, else any whitespace.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            delimiter = _sniff_delimiter(fh)
-        arr = np.loadtxt(path, delimiter=delimiter, ndmin=2)
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = (line for line in fh if line.split("#", 1)[0].strip())
+            first = next(lines, None)
+            if first is None:
+                raise ValueError("no data lines")
+            data = first.split("#", 1)[0]
+            delimiter = next((c for c in (",", "\t", ";") if c in data), None)
+            arr = np.loadtxt(chain((first,), lines), delimiter=delimiter, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"could not parse numeric matrix from {path}: {exc}") from None
     return NumericMatrix(arr)

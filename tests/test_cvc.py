@@ -15,40 +15,39 @@ from rinclose.cvc import (
     _fits,
     _joinable_mask,
     _mine_cvc,
-    _window_ends,
-    _window_starts,
+    _windows,
 )
 
 # ---------------------------------------------------------------- windows
 
 
-def _windows(rows, eps):
+def _window_rows(rows, eps):
     """Maximal eps-windows of (row-id, value) pairs, cut the way the kernel cuts them."""
     pairs = sorted(rows, key=lambda rv: (rv[1], rv[0]))
     ids = [r for r, _ in pairs]
-    ends = _window_ends(np.array([v for _, v in pairs], dtype=np.float64), eps)
-    return [sorted(ids[p : ends[p]]) for p in _window_starts(ends)]
+    sv = np.array([v for _, v in pairs], dtype=np.float64)
+    return [sorted(ids[p:e]) for p, e in _windows(sv, eps, 1)]
 
 
 def test_windows_all_equal_values():
     rows = [(0, 3.0), (1, 3.0), (2, 3.0)]
-    assert _windows(rows, 0.0) == [[0, 1, 2]]
+    assert _window_rows(rows, 0.0) == [[0, 1, 2]]
 
 
 def test_windows_spread_values_become_singletons():
     rows = [(0, 0.0), (1, 2.0), (2, 4.0)]
-    assert _windows(rows, 1.0) == [[0], [1], [2]]
+    assert _window_rows(rows, 1.0) == [[0], [1], [2]]
 
 
 def test_windows_on_pairwise_difference_column():
     # first pairwise-difference column of the running example: -1, 1, 0, -1
     rows = [(0, -1.0), (1, 1.0), (2, 0.0), (3, -1.0)]
-    assert _windows(rows, 1.0) == [[0, 2, 3], [1, 2]]
+    assert _window_rows(rows, 1.0) == [[0, 2, 3], [1, 2]]
 
 
 def test_windows_zero_epsilon_groups_equal_values():
     rows = [(0, 1.0), (1, 2.0), (2, 1.0), (3, 2.0), (4, 9.0)]
-    assert _windows(rows, 0.0) == [[0, 2], [1, 3], [4]]
+    assert _window_rows(rows, 0.0) == [[0, 2], [1, 3], [4]]
 
 
 def test_windows_are_never_duplicated():
@@ -57,7 +56,7 @@ def test_windows_are_never_duplicated():
         n = int(rng.integers(1, 12))
         vals = rng.integers(0, 5, size=n).astype(float)
         eps = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-        wins = _windows(list(enumerate(vals)), eps)
+        wins = _window_rows(list(enumerate(vals)), eps)
         keys = [tuple(w) for w in wins]
         assert len(set(keys)) == len(keys)
         # each window is valid and cannot be grown to another returned window
@@ -75,6 +74,20 @@ def _tie_epsilons(values, rng):
     return d, float(np.nextafter(d, 0.0)), float(np.nextafter(d, np.inf))
 
 
+def _scanned_windows(sv, eps):
+    """Maximal eps-windows of sorted sv, listed by brute force: each start's
+    end found by scanning, kept when it reaches past its predecessor's."""
+    out, last = [], 0
+    for p in range(len(sv)):
+        e = p
+        while e < len(sv) and sv[e] - sv[p] <= eps:
+            e += 1
+        if e > last:
+            out.append((p, e))
+        last = e
+    return out
+
+
 def test_fits_agrees_with_the_windows_at_ties():
     # decimal columns, so differences are inexact and epsilon sits on them;
     # more columns than one sort block, so the block seams are crossed too
@@ -83,13 +96,15 @@ def test_fits_agrees_with_the_windows_at_ties():
         n = int(rng.integers(1, 12))
         cols = np.sort(rng.integers(0, 30, size=(n, 300)) / 10, axis=0)
         for eps in _tie_epsilons(cols[:, 0], rng) if n > 1 else (0.1,):
-            longest = []  # rows of each column's longest maximal window
-            for j in range(cols.shape[1]):
-                ends = _window_ends(cols[:, j], eps)
-                longest.append(max(ends[p] - p for p in _window_starts(ends)))
+            scanned = [_scanned_windows(cols[:, j], eps) for j in range(cols.shape[1])]
             for min_row in range(1, n + 1):
-                fits = _fits(cols[rng.permutation(n)], eps, min_row)
-                assert (fits == (np.array(longest) >= min_row)).all(), (eps, min_row)
+                wide = [[(p, e) for p, e in w if e - p >= min_row] for w in scanned]
+                for j in range(0, cols.shape[1], 7):  # a spread of columns keeps it quick
+                    assert _windows(cols[:, j], eps, min_row) == wide[j], (eps, min_row, j)
+                block = cols[rng.permutation(n)]
+                absorb, fits = _fits(block, eps, min_row)
+                assert (absorb == (block.max(axis=0) - block.min(axis=0) <= eps)).all()
+                assert (fits == np.array([bool(w) for w in wide])).all(), (eps, min_row)
 
 
 # ---------------------------------------------------------------- canonicity

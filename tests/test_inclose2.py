@@ -146,7 +146,7 @@ def test_group_walk_matches_the_kernel_on_cvc_p_and_cvr_p():
 
 def test_group_walk_matches_the_kernel_on_chv_p_pivots():
     # each pivot's difference matrix, walked from an empty root by both walks;
-    # the seeded root of chv-p then finds exactly the biclusters of that
+    # chv-p's walk, started at the pivot, then finds exactly the biclusters of that
     # matrix whose first column is the pivot, and none under a skipped pivot
     rng = np.random.default_rng(67)
     for _ in range(10):
@@ -161,7 +161,7 @@ def test_group_walk_matches_the_kernel_on_chv_p_pivots():
                     if (np.ptp(z[:, :atr], axis=0) == 0.0).any():
                         assert not first
                         continue
-                    seeded, _ = _mine_groups(z, min_row, min_col, root=(atr,))
+                    seeded, _ = _mine_groups(z, min_row, min_col, start=atr)
                     assert sorted(seeded) == sorted(first)
 
 

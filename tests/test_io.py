@@ -45,11 +45,21 @@ def test_load_matrix_sniffs_delimiters(tmp_path):
 
 
 def test_load_matrix_sniffs_the_first_line_loadtxt_reads(tmp_path):
-    # np.loadtxt passes over blank lines and # comments, so the sniffer does too
+    # blank, whitespace-only and # lines and a byte order mark are passed
+    # over, so the delimiter is sniffed from the first line with data
     path = tmp_path / "m.csv"
-    for head in ("\n", "# note\n", "\n# a b c\n\n"):
-        path.write_text(f"{head}1,2\n3,4\n")
-        assert np.array_equal(load_matrix(path).values, [[1, 2], [3, 4]]), head
+    for text in (
+        "\n1,2\n3,4\n",
+        "# note\n1,2\n3,4\n",
+        "\n# a b c\n\n1,2\n3,4\n",
+        "  \n1,2\n3,4\n",
+        "1,2\n   \n3,4\n",
+        "1\t2\n\t\n3\t4\n",
+        "\ufeff1,2\n3,4\n",
+        "\ufeff1 2\n3 4\n",
+    ):
+        path.write_bytes(text.encode("utf-8"))
+        assert np.array_equal(load_matrix(path).values, [[1, 2], [3, 4]]), repr(text)
 
 
 def test_load_matrix_single_row_is_still_2d(tmp_path):
