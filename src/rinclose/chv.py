@@ -25,9 +25,9 @@ up as constant-column structure; the pipeline is
 3. for each of those, map its intent back to original columns, connect the
    pairs it certifies into a graph, and read candidate intents off the
    maximal cliques; a candidate survives if it uses the whole vertex set or
-   no further row fits its extent (the kernel's joinability test on the
-   augmented columns of the candidate's pairs), and a registry drops
-   repeats arising from different step-2 biclusters.
+   no further row fits its extent (``cvc._completable``, the kernel's own
+   row-maximality test, on the augmented columns of the candidate's pairs),
+   and a registry drops repeats arising from different step-2 biclusters.
 
 The clique search of step 3 is ``maximal_cliques`` here, Bron-Kerbosch over
 neighbour bitmasks, and step 3 takes the kernel's (rows, cols) index tuples
@@ -47,7 +47,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import EnumParams
-from .cvc import _joinable_mask, _mine_cvc
+from .cvc import _completable, _mine_cvc
 from .inclose2 import _bits, _mine_groups
 
 
@@ -175,15 +175,14 @@ def extract_chv_from_cvc(
     arising from different source biclusters.  A clique D is all of B2
     exactly when its |D|(|D|-1)/2 pairs are all of the intent's pairs.
     """
-    rows = np.asarray(bic[0], dtype=np.intp)
-    others = np.setdiff1d(np.arange(aug.values.shape[0]), rows)  # every candidate's C is rows
+    rows = np.asarray(bic[0], dtype=np.intp)  # every candidate's C
     column = {aug.pairs[k]: k for k in bic[1]}  # D's pairs are among these
     kept = []
     for key in clique_candidates(bic, aug, min_col):
         d = key[1]
         if len(d) * (len(d) - 1) // 2 < len(column):
             cols = [column[pair] for pair in combinations(d, 2)]
-            if _joinable_mask(aug.values, rows, cols, others, epsilon).any():
+            if _completable(aug.values, rows, cols, epsilon):
                 continue
         if key not in emitted:
             emitted.add(key)

@@ -15,22 +15,23 @@ Three guards keep the perturbed output exact, complete and duplicate-free:
   recreate an extent along several paths; since a maximal constant-column
   bicluster is determined by its extent, a repeated extent is always a
   duplicate and is dropped on sight;
-* row maximality — a window that a sibling row (tracked in the inherited
-  check-set RM) could join on the child's intent closes to a non-maximal
-  bicluster and is dropped.  RM accumulates, at every branch, the rows left
-  outside the window whose values sit within epsilon of the window's pivot
-  band; only those can ever rejoin a descendant.
+* row maximality — a child that some row outside it can join on its intent
+  closes to a non-maximal bicluster and is dropped (``_completable`` tests
+  that definition).  No row of the node's extent can join, as the child's
+  window is maximal on the cut column; so a joining row left the extent at
+  an ancestor's cut on an intent column, and lies in that window's band (within
+  epsilon of its min_row-th lowest value from below, or of its min_row-th
+  highest from above), since the child keeps min_row of its rows.
 
-The registry and RM are needed only because epsilon-windows overlap.  At
-epsilon = 0 the windows are the disjoint equal-value groups and canonicity
+The registry and the row-maximality test are needed only because
+epsilon-windows overlap.  At epsilon = 0 neither fires and canonicity
 alone suffices, so the perfect types run the bitmask walk of ``inclose2``
 on precomputed groups instead, and this kernel serves epsilon > 0 only.
-Called with epsilon = 0 it walks the same tree as that walk, without
-registry or RM; the tests use this to cross-check the two.  The guards'
-off-switches are private to the kernel, for the tests that show each guard
-is needed.  The registry is a plain set of extent bytes.  A node's intent
-is one column bitmask, and the emitted ones are decoded into column tuples
-once, when the walk ends (``inclose2._decode``).
+Called with epsilon = 0 it walks the same tree as that walk; the tests use
+this to cross-check the two.  The registry's off-switch is private, for the
+test that shows it is needed; the registry is a plain set of extent bytes.
+A node's intent is one column bitmask, and the emitted ones are decoded
+into column tuples once, when the walk ends (``inclose2._decode``).
 
 Each node sorts its extent's values once, column by column from its start
 attribute (values only, a block of columns at a time), and reads both tests
@@ -38,14 +39,14 @@ off that sort: a column whose range s[-1] - s[0] is within epsilon is
 absorbed, and a column holding an epsilon-window of at least min_row rows
 is cut; the attribute loop visits only those.  The skip is exact: the
 window test uses the same subtraction as ``_windows``, and floating-point
-subtraction is monotone in its first operand, so a window of min_row rows
+subtraction is monotone in each operand, so a window of min_row rows
 starts at sorted position p iff s[p + min_row - 1] - s[p] <= epsilon.  A
-skipped column would have created no child, so the registry, RM and
-canonicity never see it, and children, node counts and output stay the
-same.  On the augmented matrix of ``chv`` most of the m(m-1)/2 columns of
-most nodes are skipped this way.  A cut column is ordered by a stable sort
-(the extent's rows ascend, so ties keep row order), and ``_windows`` selects
-its maximal windows of min_row rows or more with array operations.
+skipped column would have created no child, so the guards never see it,
+and children, node counts and output stay the same.  On the augmented
+matrix of ``chv`` most of the m(m-1)/2 columns of most nodes are skipped
+this way.  A cut column is ordered by a stable sort (the extent's rows
+ascend, so ties keep row order), and ``_windows`` selects its maximal
+windows of min_row rows or more with array operations.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
 matrix, ``cvr`` on the transpose (the dispatch table's transpose rule) and
@@ -95,20 +96,25 @@ def _windows(sv: np.ndarray, eps: float, min_row: int) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), ends[starts].tolist()))
 
 
-def _joinable_mask(
-    values: np.ndarray,
-    extent: np.ndarray,
-    cols: Sequence[int],
-    cand_rows: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """For each candidate row: can it join the extent keeping every column's range <= eps?"""
-    cols = np.asarray(cols, dtype=np.intp)
-    sub = values[np.ix_(extent, cols)]
-    cmin = sub.min(axis=0)
-    cmax = sub.max(axis=0)
-    cv = values[np.ix_(cand_rows, cols)]
-    return ((cv - cmin) <= eps).all(axis=1) & ((cmax - cv) <= eps).all(axis=1)
+def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps: float) -> bool:
+    """Can some row outside rows join (rows, cols) and keep every column's range <= eps?
+
+    The first column is scanned over all rows, then the rows that fit are
+    narrowed column by column until none is left.  A value v fits when
+    (v - min) <= eps and (max - v) <= eps, the validity predicate's test.
+    """
+    first, *rest = cols
+    v = values[:, first]
+    sub = v[rows]
+    fit = ((v - sub.min()) <= eps) & ((sub.max() - v) <= eps)
+    fit[rows] = False
+    cand = np.flatnonzero(fit)
+    for c in rest:
+        if not len(cand):
+            break
+        sub, v = values[rows, c], values[cand, c]
+        cand = cand[((v - sub.min()) <= eps) & ((sub.max() - v) <= eps)]
+    return len(cand) > 0
 
 
 def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, j: int, eps: float) -> bool:
@@ -146,30 +152,26 @@ def _mine_cvc(
     min_col: int,
     *,
     use_registry: bool = True,
-    use_rm: bool = True,
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """Core walk shared by the perturbed bicluster types.
 
-    Returns (list of (rows, cols) pairs, node count).  The registry and RM
-    guards run only when eps > 0; the two toggles can switch them off there.
+    Returns (list of (rows, cols) pairs, node count).  A child is dropped by
+    the three guards of the module docstring, in order; ``use_registry=False``
+    switches the registry off, for a test.
     """
     n, m = values.shape
-    # extents of the children created so far; an extent killed by the RM
-    # check must stay out, because the same rows can reappear later under a
-    # stronger intent that no tracked row can join, and that later child is
-    # the one that emits the bicluster
-    seen: set[bytes] | None = set() if use_registry and eps > 0 else None
-    track_rm = use_rm and eps > 0
+    # extents of the children created so far; an extent that fails the
+    # row-maximality test must stay out, because the same rows can reappear
+    # later under a stronger intent that no outside row can join, and that
+    # later child is the one that emits the bicluster
+    seen: set[bytes] | None = set() if use_registry else None
     extents: list[tuple[int, ...]] = []
     intents: list[int] = []  # emitted intent masks, decoded when the walk ends
     nodes = 0
-    empty = np.empty(0, dtype=np.intp)
-    # stack entries: (extent row ids sorted, inherited intent mask, start attr, check-set RM)
-    stack: list[tuple[np.ndarray, int, int, np.ndarray]] = [
-        (np.arange(n, dtype=np.intp), 0, 0, empty)
-    ]
+    # stack entries: (extent row ids sorted, inherited intent mask, start attr)
+    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n, dtype=np.intp), 0, 0)]
     while stack:
-        a, b, y, rm = stack.pop()
+        a, b, y = stack.pop()
         nodes += 1
         sub = values[a] if len(a) < n else values  # only the root holds every row
         absorb, fits = _fits(sub[:, y:], eps, min_row)
@@ -177,7 +179,7 @@ def _mine_cvc(
         # min_row rows creates no child, so the scan passes over it; the
         # min_col prune could fire on such a column only when the intent is
         # already too short to emit, and then fires on the next one scanned
-        children: list[tuple[np.ndarray, int, np.ndarray]] = []
+        children: list[tuple[np.ndarray, int]] = []
         pruned = False
         for j in (np.flatnonzero(absorb | fits) + y).tolist():
             if b >> j & 1:
@@ -190,36 +192,23 @@ def _mine_cvc(
                 continue
             # a's rows ascend, so a stable sort keeps tied values in row order
             order = np.argsort(sub[:, j], kind="stable")
-            sv = sub[order, j]
             sids = a[order]
-            for p, e in _windows(sv, eps, min_row):
+            for p, e in _windows(sub[order, j], eps, min_row):
                 rw = np.sort(sids[p:e])
                 if not _canonical_fast(values, rw, b, j, eps):
                     continue
                 if seen is not None and rw.tobytes() in seen:
                     continue
-                child_rm = rm
-                if track_rm:
-                    # pivot band in the same subtraction form as the validity
-                    # predicate, so no joinable row can slip past on a tie
-                    v_lo = sv[p + min_row - 1]
-                    v_hi = sv[e - min_row]
-                    below = np.flatnonzero((v_lo - sv[:p]) <= eps)
-                    above = e + np.flatnonzero((sv[e:] - v_hi) <= eps)
-                    rm_window = np.concatenate((sids[below], sids[above]))
-                    child_rm = np.union1d(rm, rm_window)
-                    if len(child_rm) and _joinable_mask(
-                        values, rw, list(_bits(b | 1 << j)), child_rm, eps
-                    ).any():
-                        continue  # some tracked row completes it: not row-maximal
+                if _completable(values, rw, (j, *_bits(b)), eps):
+                    continue
                 if seen is not None:
                     seen.add(rw.tobytes())
-                children.append((rw, j, child_rm))
+                children.append((rw, j))
         if not pruned and len(a) >= min_row and b.bit_count() >= min_col:
             extents.append(tuple(a.tolist()))
             intents.append(b)
-        for rw, j, child_rm in reversed(children):
-            stack.append((rw, b | 1 << j, j + 1, child_rm))
+        for rw, j in reversed(children):
+            stack.append((rw, b | 1 << j, j + 1))
     return list(zip(extents, _decode(intents, m))), nodes
 
 

@@ -25,7 +25,7 @@ The group scan of a column also stops once fewer than min_row rows of the
 extent are left unplaced.  Children inherit
 the parent's fully closed intent without recomputation.  Groups are
 disjoint, so no extent is reached twice and no registry or row-maximality
-check set is needed.  A node's extent is a row bitmask and its intent a
+test is needed.  A node's extent is a row bitmask and its intent a
 column bitmask; the walk keeps the emitted masks and decodes all of them
 into index tuples once, when it ends (``_decode``).
 

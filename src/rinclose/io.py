@@ -8,6 +8,7 @@ same schema for mined output, ground truth and evaluation input.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 
 import numpy as np
@@ -15,12 +16,16 @@ import numpy as np
 from .core import Bicluster, BiclusterSolution, NumericMatrix, as_matrix, sort_biclusters
 
 
+_RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
+
+
 def load_matrix(path) -> NumericMatrix:
     """Load a dense numeric matrix from a CSV/TSV/whitespace text file.
 
     Blank, whitespace-only and ``#`` comment lines and a UTF-8 byte order
     mark are passed over.  The cell separator is sniffed from the first data
-    line: a comma, tab or semicolon, else any whitespace.
+    line: a comma, tab or semicolon, else any whitespace.  A ragged data row
+    is reported by its number among the data rows and both cell counts.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -32,6 +37,9 @@ def load_matrix(path) -> NumericMatrix:
             delimiter = next((c for c in (",", "\t", ";") if c in data), None)
             arr = np.loadtxt(chain((first,), lines), delimiter=delimiter, ndmin=2)
     except ValueError as exc:
+        if ragged := _RAGGED.search(str(exc)):  # numpy's wording adds advice on usecols
+            was, now, row = ragged.groups()
+            exc = f"data row {row} has {now} cells where the rows before it have {was}"
         raise ValueError(f"could not parse numeric matrix from {path}: {exc}") from None
     return NumericMatrix(arr)
 
@@ -50,15 +58,18 @@ def solution_to_json(solution) -> str:
 
     Writes what ``json.dumps([b.to_dict() for b in bics], separators=(",",
     ":")) + "\\n"`` writes, straight from the index tuples: indices come from
-    a table of decimal strings up to the data's largest index (at most
-    _NAMED of them), and a bicluster with an index outside the table uses str.
+    a table of decimal strings up to the largest index, no longer than
+    _NAMED or the count of indices written; a bicluster beyond it uses str.
     """
     bics = solution.biclusters if isinstance(solution, BiclusterSolution) else tuple(solution)
     tops = [max(b.rows[-1], b.cols[-1]) for b in bics]
-    names = [str(i) for i in range(min(max(tops, default=-1) + 1, _NAMED))]
+    size = min(max(tops, default=-1) + 1, _NAMED)
+    if size > 2 * len(bics):  # else no fewer indices are written: two or more a bicluster
+        size = min(size, sum(len(b.rows) + len(b.cols) for b in bics))
+    names = [str(i) for i in range(size)]
     parts = []
     for b, top in zip(bics, tops):
-        inside = top < _NAMED and b.rows[0] >= 0 and b.cols[0] >= 0
+        inside = top < size and b.rows[0] >= 0 and b.cols[0] >= 0
         name = names.__getitem__ if inside else str
         rows, cols = ",".join(map(name, b.rows)), ",".join(map(name, b.cols))
         parts.append(f'{{"rows":[{rows}],"cols":[{cols}]}}')

@@ -117,6 +117,18 @@ def test_matrix_without_data_lines_is_one_error_line(tmp_path, capsys, recwarn, 
     assert not recwarn.list  # a warning would reach standard error as well
 
 
+def test_ragged_matrix_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "ragged.csv"
+    path.write_text("1,2\n3\n")
+    assert main(["mine", "--alg", "cvc-p", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: could not parse numeric matrix from {path}: "
+        "data row 2 has 1 cells where the rows before it have 2\n"
+    )
+
+
 @pytest.mark.parametrize("broken", ["--found", "--reference"])
 def test_evaluate_names_the_malformed_solution_file(tmp_path, capsys, broken):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"

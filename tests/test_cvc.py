@@ -12,8 +12,8 @@ from rinclose import (
 from rinclose.chv import build_augmented
 from rinclose.cvc import (
     _canonical_fast,
+    _completable,
     _fits,
-    _joinable_mask,
     _mine_cvc,
     _windows,
 )
@@ -130,30 +130,24 @@ def test_canonical_ignores_intent_columns(table1):
     assert _canonical(table1, [1, 2], [0, 1, 2, 3], 4, 1.0)
 
 
-# ---------------------------------------------------------------- check set
+# ---------------------------------------------------------------- row maximality
 
 
 @pytest.fixture
 def rm_checks(monkeypatch):
-    """Record (child extent, check set RM) at every row-maximality test of the kernel."""
+    """Record (child extent, intent columns, verdict) at every row-maximality test of the kernel."""
     import rinclose.cvc
 
     calls = []
 
-    def recording(values, extent, cols, cand_rows, eps):
-        calls.append((extent.tolist(), cand_rows.tolist()))
-        return _joinable_mask(values, extent, cols, cand_rows, eps)
+    def recording(values, rows, cols, eps):
+        cols = list(cols)
+        hit = _completable(values, rows, cols, eps)
+        calls.append((rows.tolist(), cols, hit))
+        return hit
 
-    monkeypatch.setattr(rinclose.cvc, "_joinable_mask", recording)
+    monkeypatch.setattr(rinclose.cvc, "_completable", recording)
     return calls
-
-
-def test_rm_band_keeps_reachable_rows_only(rm_checks):
-    # ten rows a..j by value; the window d..i has pivots 3 and 5 at min_row 2,
-    # so RM holds a, b, c (>= 0) and j (<= 8), nothing else
-    col = np.array([[0.0], [1.0], [1.0], [2.0], [3.0], [4.0], [5.0], [5.0], [5.0], [8.0]])
-    _mine_cvc(col, 3.0, 2, 1)
-    assert ([3, 4, 5, 6, 7, 8], [0, 1, 2, 9]) in rm_checks
 
 
 def test_rm_whole_window_is_empty(rm_checks):
@@ -164,30 +158,73 @@ def test_rm_whole_window_is_empty(rm_checks):
 
 
 def test_rm_distinct_values_zero_epsilon(rm_checks):
-    # at epsilon 0 the windows are disjoint value groups: no row is ever checked
+    # at epsilon 0 the windows are disjoint value groups: the test runs on
+    # every child, and no outside row ever joins one
     pairs, _ = _mine_cvc(np.array([[5.0], [5.0], [1.0], [9.0]]), 0.0, 1, 1)
     assert sorted(pairs) == [((0, 1), (0,)), ((2,), (0,)), ((3,), (0,))]
-    assert rm_checks == []
+    assert sorted(rm_checks) == [([0, 1], [0], False), ([2], [0], False), ([3], [0], False)]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vals = rng.integers(0, 3, size=tuple(rng.integers(2, 9, size=2))).astype(float)
+        _mine_cvc(vals, 0.0, 1, 1)
+    assert len(rm_checks) > 3 and not any(hit for *_, hit in rm_checks)
 
 
 def test_rm_window_shorter_than_min_row(rm_checks):
-    # windows shorter than min_row are dropped before any RM is built
+    # windows shorter than min_row are dropped before the test runs
     pairs, _ = _mine_cvc(np.array([[1.0], [2.0], [3.0]]), 0.5, 2, 1)
     assert pairs == []
     assert rm_checks == []
 
 
 def test_row_maximal_empty_check_set(table1):
-    none = np.empty(0, dtype=np.intp)
-    assert not _joinable_mask(table1, np.array([0]), [0], none, 0.0).any()
+    # an extent of every row leaves no row outside it to join
+    assert not _completable(table1, np.arange(len(table1)), [0], 0.0)
 
 
 def test_row_maximal_on_running_example(table1):
-    g1g2, g3 = np.array([0, 1]), np.array([2])
+    g1g2 = np.array([0, 1])
     # g3 also has 6 in column m5, so {g1,g2} is completable
-    assert _joinable_mask(table1, g1g2, [4], g3, 0.0).any()
-    # g3's m4 entry (7) is out of reach of values {0,1} at epsilon 1
-    assert not _joinable_mask(table1, g1g2, [3], g3, 1.0).any()
+    assert _completable(table1, g1g2, [4], 0.0)
+    # g3's and g4's m4 entries (7, 6) are out of reach of values {0,1} at epsilon 1
+    assert not _completable(table1, g1g2, [3], 1.0)
+    # g3 fits m5 but not m4, so on both it stays out, in either order
+    assert not _completable(table1, g1g2, [4, 3], 0.0)
+    assert not _completable(table1, g1g2, [3, 4], 0.0)
+
+
+def test_row_maximal_is_the_row_probe_of_is_valid():
+    # the test against its definition: some outside row, added, keeps every
+    # column within epsilon; decimal values with epsilon on a difference
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        n, m = (int(k) for k in rng.integers(2, 9, size=2))
+        vals = rng.integers(0, 20, size=(n, m)) / 10
+        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        cols = [int(c) for c in rng.permutation(m)[: int(rng.integers(1, m + 1))]]
+        for eps in _tie_epsilons(vals[:, cols], rng):
+            params = EnumParams(eps, 1, 1, "cvc")
+            if not is_valid(vals, Bicluster(rows.tolist(), sorted(cols)), params):
+                continue
+            probes = [
+                is_valid(vals, Bicluster(sorted([*rows.tolist(), x]), sorted(cols)), params)
+                for x in range(n)
+                if x not in rows
+            ]
+            assert _completable(vals, rows, cols, eps) == any(probes), (vals, rows, cols, eps)
+
+
+def test_row_maximality_kill_by_a_row_left_at_an_ancestor_cut(rm_checks):
+    # a root's child has every row in its parent, so no row can join it;
+    # below that, a row can join only if it left at an ancestor's cut on an
+    # intent column, and on this input such a row drops a child
+    vals = np.random.default_rng(2).integers(0, 6, size=(8, 3)).astype(float)
+    params = EnumParams(1.0, 2, 1, "cvc")
+    pairs, nodes = _mine_cvc(vals, 1.0, 2, 1)
+    assert (len(pairs), nodes) == (15, 16)
+    assert any(hit for *_, hit in rm_checks)
+    assert set(pairs) == oracle_enumerate(vals, params).as_set()
+    assert all(is_maximal(vals, Bicluster(*pair), params) for pair in pairs)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -232,7 +269,7 @@ def test_single_column_matrix():
 
 def test_perfect_equals_perturbed_at_zero_epsilon():
     # on integers an epsilon of 0.5 admits only equal values, so the walk
-    # with registry and RM switched on must find what the epsilon-0 walk finds
+    # at epsilon 0.5 must find what the epsilon-0 walk finds
     rng = np.random.default_rng(3)
     for _ in range(25):
         n, m = rng.integers(2, 9, size=2)
@@ -324,14 +361,17 @@ def test_registry_off_yields_only_duplicates():
     assert set(raw) == set(base)
 
 
-def test_rm_off_leaks_only_dominated_pairs():
+def test_rm_off_leaks_only_dominated_pairs(monkeypatch):
+    import rinclose.cvc
+
     vals = np.random.default_rng(0).integers(0, 6, size=(10, 5)).astype(float)
     params = EnumParams(1.0, 1, 1, "cvc")
     base, _ = _mine_cvc(vals, 1.0, 1, 1)
-    leaky, _ = _mine_cvc(vals, 1.0, 1, 1, use_rm=False)
+    monkeypatch.setattr(rinclose.cvc, "_completable", lambda *args: False)
+    leaky, _ = _mine_cvc(vals, 1.0, 1, 1)
     extras = set(leaky) - set(base)
     assert set(base) <= set(leaky)
-    assert extras  # the check set really pruned something
+    assert extras  # the row-maximality test really pruned something
     for rows, cols in extras:
         b = Bicluster(rows, cols)
         assert is_valid(vals, b, params)

@@ -77,6 +77,23 @@ def test_load_matrix_bad_file(tmp_path):
         load_matrix(tmp_path / "missing.csv")
 
 
+def test_load_matrix_reports_a_ragged_row(tmp_path):
+    # the row counts data rows only, so blank and comment lines do not shift it
+    path = tmp_path / "ragged.csv"
+    for text, row, now, was in (
+        ("1,2\n3\n", 2, 1, 2),
+        ("# c\n\n1 2 3\n4 5 6\n\n7 8\n", 3, 2, 3),
+        ("1\t2\n3\t4\t5\n", 2, 3, 2),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_matrix(path)
+        assert str(info.value) == (
+            f"could not parse numeric matrix from {path}: "
+            f"data row {row} has {now} cells where the rows before it have {was}"
+        ), repr(text)
+
+
 def test_solution_roundtrip(tmp_path):
     bics = [Bicluster([2, 0], [1]), Bicluster([1], [0, 3])]
     path = tmp_path / "sol.json"
@@ -106,6 +123,8 @@ def test_solution_json_equals_json_dumps_on_edge_cases():
         [Bicluster([0], [0])],
         [Bicluster([999_999, 1_000_000, 1_000_001], [3]), Bicluster([2], [10**6, 2**40])],
         [Bicluster([0, 65_535, 65_536], [1]), Bicluster([1, 2], [0])],  # around the table cap
+        [Bicluster(range(65_536), [0])],  # the largest table, every index inside it
+        [Bicluster(range(65_537), [0])],  # one index past the table
         [Bicluster([-3, 2], [-1, 0])],  # the public constructor admits negative ids
     ]
     for bics in cases:
