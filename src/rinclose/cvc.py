@@ -42,11 +42,27 @@ window test uses the same subtraction as ``_windows``, and floating-point
 subtraction is monotone in each operand, so a window of min_row rows
 starts at sorted position p iff s[p + min_row - 1] - s[p] <= epsilon.  A
 skipped column would have created no child, so the guards never see it,
-and children, node counts and output stay the same.  On the augmented
-matrix of ``chv`` most of the m(m-1)/2 columns of most nodes are skipped
-this way.  A cut column is ordered by a stable sort (the extent's rows
-ascend, so ties keep row order), and ``_windows`` selects its maximal
-windows of min_row rows or more with array operations.
+and children, node counts and output stay the same.  A cut column is
+ordered by a stable sort (the extent's rows ascend, so ties keep row
+order), and ``_windows`` selects its maximal windows of min_row rows or
+more with array operations.
+
+The skip is inherited down the tree.  A column that holds no window of
+min_row rows over an extent holds none over any subset of it: where a
+window of min_row rows of the subset starts, at value v, one starts in the
+extent's sorted order too, since the min_row-th value from v can only be
+lower there and subtraction is monotone.  So each stack entry carries its
+live columns, the ascending ids of the columns that may still hold a
+window: those its parent inherited below the parent's start attribute,
+and those from there that hold one over the parent's extent (the root
+starts with every column).  A node sorts only its live columns, and a
+child's canonicity test reads only the live columns below its cut column:
+a column with range <= epsilon over the child holds a window of the
+child's min_row or more rows, so it was live at every ancestor.  A dead
+column passes neither test, so a read may slice dead columns in with the
+live ones where those are dense, and the verdicts do not change
+(``_read``).  On the augmented matrix of ``chv`` most of the m(m-1)/2
+columns die below the root.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
 matrix, ``cvr`` on the transpose (the dispatch table's transpose rule) and
@@ -66,6 +82,7 @@ from .core import EnumParams
 from .inclose2 import _bits, _decode
 
 _BLOCK = 256  # columns per sort in _fits
+_GATHER = 5  # see _read
 
 
 def _windows(sv: np.ndarray, eps: float, min_row: int) -> list[tuple[int, int]]:
@@ -117,13 +134,33 @@ def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps:
     return len(cand) > 0
 
 
-def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, j: int, eps: float) -> bool:
-    """Vectorized canonicity scan over attributes < j outside the intent mask b."""
-    if j == 0:
+def _read(
+    values: np.ndarray, rows: np.ndarray | slice, cols: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """values[rows] on the live columns cols (ascending ids in lo..hi-1), and the ids read.
+
+    A gather costs several times what a slice does per cell, so the plain
+    slice lo:hi is read unless cols are fewer than 1 in _GATHER of its
+    columns.  The slice's other columns are dead, and no test is passed by a
+    dead column (see the module docstring), so both reads give one verdict.
+    rows is slice(None) only at the root, whose columns are all live, so the
+    root reads a view of values and copies nothing.
+    """
+    if _GATHER * len(cols) >= hi - lo:
+        return values[rows, lo:hi], np.arange(lo, hi)
+    return values[rows[:, None], cols], cols
+
+
+def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, live: np.ndarray, eps: float) -> bool:
+    """Canonicity of the child rw cut at column j: no column < j outside the intent b fits rw.
+
+    live holds the ascending ids of the node's live columns < j; no other
+    column < j can fit rw (see the module docstring), so only those are read.
+    """
+    if not len(live):
         return True
-    sub = values[rw, :j]
-    fit = sub.max(axis=0) - sub.min(axis=0) <= eps
-    return all(b >> k & 1 for k in np.flatnonzero(fit).tolist())
+    sub, ids = _read(values, rw, live, 0, int(live[-1]) + 1)
+    return all(b >> c & 1 for c in ids[sub.max(axis=0) - sub.min(axis=0) <= eps].tolist())
 
 
 def _fits(sub: np.ndarray, eps: float, min_row: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +194,10 @@ def _mine_cvc(
 
     Returns (list of (rows, cols) pairs, node count).  A child is dropped by
     the three guards of the module docstring, in order; ``use_registry=False``
-    switches the registry off, for a test.
+    switches the registry off, for a test.  A stack entry is (extent, intent
+    mask, start attribute, live columns); a node's children share one live
+    array: its own live columns below its start attribute, plus those from
+    there that hold a window over its extent.
     """
     n, m = values.shape
     # extents of the children created so far; an extent that fails the
@@ -168,34 +208,47 @@ def _mine_cvc(
     extents: list[tuple[int, ...]] = []
     intents: list[int] = []  # emitted intent masks, decoded when the walk ends
     nodes = 0
-    # stack entries: (extent row ids sorted, inherited intent mask, start attr)
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n, dtype=np.intp), 0, 0)]
+    # stack entries: (extent row ids sorted, inherited intent mask, start
+    # attr, live column ids sorted); the root starts with every column live
+    stack: list[tuple[np.ndarray, int, int, np.ndarray]] = [
+        (np.arange(n, dtype=np.intp), 0, 0, np.arange(m, dtype=np.intp))
+    ]
     while stack:
-        a, b, y = stack.pop()
+        a, b, y, live = stack.pop()
         nodes += 1
-        sub = values[a] if len(a) < n else values  # only the root holds every row
-        absorb, fits = _fits(sub[:, y:], eps, min_row)
-        # a column that neither joins the intent nor holds a window of
-        # min_row rows creates no child, so the scan passes over it; the
-        # min_col prune could fire on such a column only when the intent is
-        # already too short to emit, and then fires on the next one scanned
+        iy = int(np.searchsorted(live, y))
+        # only the root holds every row, and it reads values itself
+        block, cols = _read(values, a if len(a) < n else slice(None), live[iy:], y, m)
+        absorb, fits = _fits(block, eps, min_row)
+        # the node's live columns: the inherited ones < y and those from y
+        # that hold a window.  The scan visits those and the absorbed
+        # columns, which hold one whenever the extent has min_row rows (and
+        # with fewer rows nothing is cut), so at a cut the i-th scanned
+        # column is live[iy + i].  A column that neither joins the intent
+        # nor holds a window of min_row rows creates no child, so the scan
+        # passes over it; the min_col prune could fire on such a column only
+        # when the intent is already too short to emit, and then fires on
+        # the next one scanned
+        live = np.concatenate((live[:iy], cols[fits]))
         children: list[tuple[np.ndarray, int]] = []
         pruned = False
-        for j in (np.flatnonzero(absorb | fits) + y).tolist():
+        for i, p in enumerate(np.flatnonzero(absorb | fits).tolist()):
+            j = int(cols[p])
             if b >> j & 1:
                 continue
             if b.bit_count() + (m - j) < min_col:
                 pruned = True
                 break
-            if absorb[j - y]:
+            if absorb[p]:
                 b |= 1 << j
                 continue
             # a's rows ascend, so a stable sort keeps tied values in row order
-            order = np.argsort(sub[:, j], kind="stable")
+            order = np.argsort(block[:, p], kind="stable")
             sids = a[order]
-            for p, e in _windows(sub[order, j], eps, min_row):
-                rw = np.sort(sids[p:e])
-                if not _canonical_fast(values, rw, b, j, eps):
+            earlier = live[: iy + i]
+            for s, e in _windows(block[order, p], eps, min_row):
+                rw = np.sort(sids[s:e])
+                if not _canonical_fast(values, rw, b, earlier, eps):
                     continue
                 if seen is not None and rw.tobytes() in seen:
                     continue
@@ -208,7 +261,7 @@ def _mine_cvc(
             extents.append(tuple(a.tolist()))
             intents.append(b)
         for rw, j in reversed(children):
-            stack.append((rw, b | 1 << j, j + 1))
+            stack.append((rw, b | 1 << j, j + 1, live))
     return list(zip(extents, _decode(intents, m))), nodes
 
 

@@ -365,6 +365,31 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window():
         13, 3, "777c08aadd5912d885e0954d2f695f8e3e7babed458b5dbe91ebaee6671a179d")
 
 
+def test_cvc_pins_a_walk_on_sparse_live_columns(monkeypatch):
+    # two planted constant-column blocks in a uniform [0, 100] background:
+    # below the root only the block columns hold an eps-window of min_row
+    # rows, so the live column sets are sparse and scattered, and the kernel
+    # gathers them on cvc itself; nodes and bytes must not move (pinned from
+    # the walk that read every column)
+    import rinclose.cvc
+
+    gathered = []
+    read = rinclose.cvc._read
+
+    def recording(values, rows, cols, lo, hi):
+        gathered.append(rinclose.cvc._GATHER * len(cols) < hi - lo)
+        return read(values, rows, cols, lo, hi)
+
+    monkeypatch.setattr(rinclose.cvc, "_read", recording)
+    mat, _ = generate(GenConfig(n=120, m=60, num_bics=2, bic_rows=20, bic_cols=4, overlap=0.25,
+                                noise_sigma=0.05, seed=0, pattern="cvc"))
+    sol = enumerate_biclusters(mat, EnumParams(0.1, 12, 2, "cvc"))
+    digest = hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
+    assert (sol.stats.nodes_expanded, len(sol), digest) == (
+        108, 75, "71a10218daccd2f7fe89c07c8a8cc604f811b55f30dc8049da004466f446a4d7")
+    assert any(gathered) and not all(gathered)
+
+
 def test_emitted_biclusters_equal_normalized_ones():
     # enumerate_biclusters builds each Bicluster without normalizing it
     # again; it must be indistinguishable from the public constructor's

@@ -111,8 +111,9 @@ def test_fits_agrees_with_the_windows_at_ties():
 
 
 def _canonical(values, rw, b, j, eps):
+    # every column < j live: the scan a root's child gets
     return _canonical_fast(np.asarray(values, dtype=float), np.asarray(rw, dtype=np.intp),
-                           sum(1 << k for k in b), j, eps)
+                           sum(1 << k for k in b), np.arange(j), eps)
 
 
 def test_canonical_no_earlier_attributes():
@@ -128,6 +129,56 @@ def test_canonical_on_running_example(table1):
 
 def test_canonical_ignores_intent_columns(table1):
     assert _canonical(table1, [1, 2], [0, 1, 2, 3], 4, 1.0)
+
+
+def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
+    # the kernel scans only the columns < j that can still hold an eps-window
+    # of min_row rows; on every call, the full scan over all columns < j
+    # (the rule: no column outside the intent has range <= eps over the
+    # child) must give the same verdict.  j is the column being cut, a local
+    # of the kernel's frame.  Decimal values with epsilon on a difference and
+    # its float neighbours, through cvc, cvr (the transpose) and chv (the
+    # augmented matrix); the scan must both slice and gather its columns
+    import sys
+
+    import rinclose.cvc
+
+    scan, read = rinclose.cvc._canonical_fast, rinclose.cvc._read
+    reads = []
+
+    def checked(values, rw, b, live, eps):
+        j = sys._getframe(1).f_locals["j"]
+        full = all(b >> c & 1 or values[rw, c].max() - values[rw, c].min() > eps for c in range(j))
+        verdict = scan(values, rw, b, live, eps)
+        assert verdict == full, (values, rw.tolist(), b, j, live.tolist(), eps)
+        return verdict
+
+    def recording(values, rows, cols, lo, hi):
+        if sys._getframe(1).f_code.co_name == "_canonical_fast":
+            reads.append("gather" if rinclose.cvc._GATHER * len(cols) < hi - lo else "slice")
+        return read(values, rows, cols, lo, hi)
+
+    monkeypatch.setattr(rinclose.cvc, "_canonical_fast", checked)
+    monkeypatch.setattr(rinclose.cvc, "_read", recording)
+    rng = np.random.default_rng(59)
+    for _ in range(16):
+        n, m = int(rng.integers(6, 11)), int(rng.integers(4, 11))
+        # a few narrow columns among wide ones: windows form in the narrow
+        # columns only, and epsilon is a difference there, so the live sets
+        # below the root are sparse and scattered
+        narrow = rng.random(m) < 0.3
+        narrow[int(rng.integers(m))] = True
+        vals = rng.integers(0, np.where(narrow, 30, 1000), size=(n, m)) / 10
+        for bt in ("cvc", "cvr", "chv"):
+            ties = vals[:, narrow]
+            if bt == "chv" and narrow.sum() > 1:
+                ties = build_augmented(ties).values
+            for eps in _tie_epsilons(ties, rng):
+                for min_row in (2, 3, 5):
+                    params = (EnumParams(eps, 1, min_row, bt) if bt == "cvr"
+                              else EnumParams(eps, min_row, 1 + 2 * (bt == "chv"), bt))
+                    enumerate_biclusters(vals, params)
+    assert {"slice", "gather"} <= set(reads), set(reads)
 
 
 # ---------------------------------------------------------------- row maximality
