@@ -19,7 +19,8 @@ could reach 2*epsilon), so the problem is lifted to the augmented matrix
 holding every pairwise column difference.  There a coherent column set shows
 up as constant-column structure; the pipeline is
 
-1. build the augmented matrix,
+1. index the augmented matrix (``AugmentedMatrix``): a read subtracts only
+   the cells it returns, so the n x m(m-1)/2 matrix is never stored,
 2. mine it for maximal constant-column biclusters with the same epsilon
    (min_col mapped to the pair count c*(c-1)/2, a sound prune), and
 3. for each of those, map its intent back to original columns, connect the
@@ -41,7 +42,6 @@ owns the model transform, the timing, the sort and the stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -49,18 +49,6 @@ import numpy as np
 from .core import EnumParams
 from .cvc import _completable, _mine_cvc
 from .inclose2 import _bits, _mine_groups
-
-
-@dataclass(frozen=True)
-class AugmentedMatrix:
-    """All pairwise column differences of a matrix, one column per ordered pair.
-
-    Column k of ``values`` holds d_ij - d_il for the pair (j, l) = ``pairs[k]``,
-    j < l, pairs in lexicographic order (0,1), (0,2), ..., (0,m-1), (1,2), ...
-    """
-
-    values: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
 
 
 def _check_differences(values: np.ndarray) -> None:
@@ -75,20 +63,26 @@ def _check_differences(values: np.ndarray) -> None:
         raise ValueError("pairwise column differences overflow to non-finite values")
 
 
-def build_augmented(values: np.ndarray) -> AugmentedMatrix:
-    """The n x m(m-1)/2 matrix of all pairwise column differences (read-only)."""
-    n, m = values.shape
-    if m < 2:
-        raise ValueError("augmented matrix requires at least 2 columns")
-    _check_differences(values)
-    out = np.empty((n, m * (m - 1) // 2))
-    k = 0
-    for j in range(m - 1):  # one pivot block: pairs (j, j+1), ..., (j, m-1)
-        np.subtract(values[:, [j]], values[:, j + 1 :], out=out[:, k : k + m - 1 - j])
-        k += m - 1 - j
-    out.setflags(write=False)
-    pairs = tuple((j, l) for j in range(m) for l in range(j + 1, m))
-    return AugmentedMatrix(values=out, pairs=pairs)
+class AugmentedMatrix:
+    """All pairwise column differences of a matrix, computed cell by cell on read.
+
+    Column k is d_ij - d_il for the pair (j, l) = ``pairs[k]``, j < l, pairs in
+    lexicographic order (0,1), (0,2), ..., (0,m-1), (1,2), ...  It serves the
+    kernel's reads: [:, lo:hi], [rows, lo:hi], [rows[:, None], ids], [:, k], [rows, k].
+    """
+
+    def __init__(self, values: np.ndarray) -> None:
+        _check_differences(values)
+        self.values = values
+        self.left, self.right = np.triu_indices(values.shape[1], 1)
+        self.pairs = tuple(zip(self.left.tolist(), self.right.tolist()))
+        self.shape = (len(values), len(self.pairs))
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        if isinstance(cols, slice) and isinstance(rows, np.ndarray):
+            rows = rows[:, None]
+        return self.values[rows, self.left[cols]] - self.values[rows, self.right[cols]]
 
 
 def _chv_perfect(values: np.ndarray, params: EnumParams):
@@ -182,7 +176,7 @@ def extract_chv_from_cvc(
         d = key[1]
         if len(d) * (len(d) - 1) // 2 < len(column):
             cols = [column[pair] for pair in combinations(d, 2)]
-            if _completable(aug.values, rows, cols, epsilon):
+            if _completable(aug, rows, cols, epsilon):
                 continue
         if key not in emitted:
             emitted.add(key)
@@ -194,9 +188,9 @@ def _chv(values: np.ndarray, params: EnumParams):
     """Miner for ``chv``: walk the augmented matrix, then extract from each result."""
     if values.shape[1] < 2:
         return [], 0
-    aug = build_augmented(values)
+    aug = AugmentedMatrix(values)
     min_pairs = params.min_col * (params.min_col - 1) // 2
-    pairs, nodes = _mine_cvc(aug.values, params.epsilon, params.min_row, min_pairs)
+    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs)
     emitted: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for bic in pairs:

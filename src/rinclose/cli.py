@@ -120,22 +120,14 @@ def _cmd_mine(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     log.debug("params: %s", params)
-    try:
-        matrix = rio.load_matrix(args.input)
-        log.debug("loaded %dx%d matrix from %s", matrix.n_rows, matrix.n_cols, args.input)
-        if oracle_type is not None:
-            log.info("oracle:%s is experimental test tooling (brute force)", oracle_type)
-            sol = oracle_enumerate(matrix, params)
-        else:
-            sol = enumerate_biclusters(matrix, params)
-    except (OSError, ValueError) as exc:
-        log.error("error: %s", exc)
-        return 1
-    try:
-        _emit(rio.solution_to_json(sol), args.output)
-    except OSError as exc:
-        log.error("error: %s", exc)
-        return 1
+    matrix = rio.load_matrix(args.input)
+    log.debug("loaded %dx%d matrix from %s", matrix.n_rows, matrix.n_cols, args.input)
+    if oracle_type is not None:
+        log.info("oracle:%s is experimental test tooling (brute force)", oracle_type)
+        sol = oracle_enumerate(matrix, params)
+    else:
+        sol = enumerate_biclusters(matrix, params)
+    _emit(rio.solution_to_json(sol), args.output)
     log.info(
         "%d biclusters, %d nodes expanded, %.3f s",
         len(sol),
@@ -161,12 +153,8 @@ def _cmd_generate(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     matrix, truth = generate(cfg)
-    try:
-        rio.save_matrix(matrix, args.out_matrix)
-        rio.save_solution(truth, args.out_truth)
-    except OSError as exc:
-        log.error("error: %s", exc)
-        return 1
+    rio.save_matrix(matrix, args.out_matrix)
+    rio.save_solution(truth, args.out_truth)
     log.info(
         "wrote %dx%d matrix to %s and %d planted biclusters to %s",
         cfg.n, cfg.m, args.out_matrix, len(truth), args.out_truth,
@@ -175,24 +163,16 @@ def _cmd_generate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    try:
-        found = rio.load_solution(args.found)
-        reference = rio.load_solution(args.reference)
-        prec, rec = precision_recall(found, reference, args.rows, args.cols)
-    except (OSError, ValueError) as exc:
-        log.error("error: %s", exc)
-        return 1
+    found = rio.load_solution(args.found)
+    reference = rio.load_solution(args.reference)
+    prec, rec = precision_recall(found, reference, args.rows, args.cols)
     sys.stdout.write(json.dumps({"precision": prec, "recall": rec}, separators=(",", ":")) + "\n")
     return 0
 
 
 def _cmd_report(args) -> int:
-    try:
-        sol = rio.load_solution(args.solution)
-        rep = solution_report(sol, args.rows, args.cols)
-    except (OSError, ValueError) as exc:
-        log.error("error: %s", exc)
-        return 1
+    sol = rio.load_solution(args.solution)
+    rep = solution_report(sol, args.rows, args.cols)
     sys.stdout.write(json.dumps(rep.to_dict(), separators=(",", ":")) + "\n")
     return 0
 
@@ -201,13 +181,17 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "mine":
-        return _cmd_mine(args, parser)
-    if args.command == "generate":
-        return _cmd_generate(args, parser)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    return _cmd_report(args)
+    try:
+        if args.command == "mine":
+            return _cmd_mine(args, parser)
+        if args.command == "generate":
+            return _cmd_generate(args, parser)
+        if args.command == "evaluate":
+            return _cmd_evaluate(args)
+        return _cmd_report(args)
+    except (OSError, ValueError) as exc:
+        log.error("error: %s", exc)
+        return 1
 
 
 if __name__ == "__main__":

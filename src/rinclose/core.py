@@ -36,6 +36,17 @@ BIC_TYPES = PERFECT_TYPES | PERTURBED_TYPES
 MODELS = ("shift", "scale")
 
 
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """arr, once it is known to be a non-empty 2-D array of finite values."""
+    if arr.ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix contains non-finite entries (NaN or Inf)")
+    return arr
+
+
 class NumericMatrix:
     """Dense n x m matrix of finite 64-bit floats, immutable after construction.
 
@@ -48,13 +59,7 @@ class NumericMatrix:
     __slots__ = ("values",)
 
     def __init__(self, values) -> None:
-        arr = np.array(values, dtype=np.float64, copy=True)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix contains non-finite entries (NaN or Inf)")
+        arr = _checked(np.array(values, dtype=np.float64, copy=True))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -217,16 +222,24 @@ def transform_for_model(matrix, model: str) -> NumericMatrix:
     raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
+def _model_values(matrix, model: str) -> np.ndarray:
+    """``transform_for_model(matrix, model).values``; a plain array under shift is not copied."""
+    if model == "shift" and not isinstance(matrix, NumericMatrix):
+        return _checked(np.asarray(matrix, dtype=np.float64))
+    return transform_for_model(matrix, model).values
+
+
 def transpose(matrix) -> NumericMatrix:
     """The transposed matrix; (i, j) maps to (j, i)."""
     return NumericMatrix(as_matrix(matrix).values.T)
 
 
-def _check_indices(mat: NumericMatrix, bic: Bicluster) -> None:
-    if bic.rows[-1] >= mat.n_rows or bic.rows[0] < 0:
-        raise IndexError(f"row index out of range for {mat.n_rows}x{mat.n_cols} matrix")
-    if bic.cols[-1] >= mat.n_cols or bic.cols[0] < 0:
-        raise IndexError(f"column index out of range for {mat.n_rows}x{mat.n_cols} matrix")
+def _check_indices(values: np.ndarray, bic: Bicluster) -> None:
+    n, m = values.shape
+    if bic.rows[-1] >= n or bic.rows[0] < 0:
+        raise IndexError(f"row index out of range for {n}x{m} matrix")
+    if bic.cols[-1] >= m or bic.cols[0] < 0:
+        raise IndexError(f"column index out of range for {n}x{m} matrix")
 
 
 def _homogeneous(values: np.ndarray, rows, cols, params: EnumParams) -> bool:
@@ -252,9 +265,9 @@ def is_valid(matrix, bic: Bicluster, params: EnumParams) -> bool:
     variants take the range of each selected row, which is the
     column-constancy predicate on the transpose.
     """
-    mat = transform_for_model(matrix, params.model)
-    _check_indices(mat, bic)
-    return _homogeneous(mat.values, bic.rows, bic.cols, params)
+    values = _model_values(matrix, params.model)
+    _check_indices(values, bic)
+    return _homogeneous(values, bic.rows, bic.cols, params)
 
 
 def is_maximal(matrix, bic: Bicluster, params: EnumParams) -> bool:
@@ -263,12 +276,11 @@ def is_maximal(matrix, bic: Bicluster, params: EnumParams) -> bool:
     Precondition: ``bic`` itself must be valid.  The matrix is mapped into
     model space once, and every probe is tested there.
     """
-    mat = transform_for_model(matrix, params.model)
-    _check_indices(mat, bic)
-    values = mat.values
+    values = _model_values(matrix, params.model)
+    _check_indices(values, bic)
     if not _homogeneous(values, bic.rows, bic.cols, params):
         raise ValueError("is_maximal requires a valid bicluster")
     row_set, col_set = set(bic.rows), set(bic.cols)
-    probes = [((*bic.rows, x), bic.cols) for x in range(mat.n_rows) if x not in row_set]
-    probes += [(bic.rows, (*bic.cols, y)) for y in range(mat.n_cols) if y not in col_set]
+    probes = [((*bic.rows, x), bic.cols) for x in range(len(values)) if x not in row_set]
+    probes += [(bic.rows, (*bic.cols, y)) for y in range(values.shape[1]) if y not in col_set]
     return not any(_homogeneous(values, r, c, params) for r, c in probes)

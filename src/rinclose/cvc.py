@@ -34,7 +34,7 @@ A node's intent is one column bitmask, and the emitted ones are decoded
 into column tuples once, when the walk ends (``inclose2._decode``).
 
 Each node sorts its extent's values once, column by column from its start
-attribute (values only, a block of columns at a time), and reads both tests
+attribute (values only, _BLOCK columns at a time), and reads both tests
 off that sort: a column whose range s[-1] - s[0] is within epsilon is
 absorbed, and a column holding an epsilon-window of at least min_row rows
 is cut; the attribute loop visits only those.  The skip is exact: the
@@ -43,9 +43,9 @@ subtraction is monotone in each operand, so a window of min_row rows
 starts at sorted position p iff s[p + min_row - 1] - s[p] <= epsilon.  A
 skipped column would have created no child, so the guards never see it,
 and children, node counts and output stay the same.  A cut column is
-ordered by a stable sort (the extent's rows ascend, so ties keep row
-order), and ``_windows`` selects its maximal windows of min_row rows or
-more with array operations.
+read again on its own, ordered by a stable sort (the extent's rows
+ascend, so ties keep row order), and ``_windows`` selects its maximal
+windows of min_row rows or more with array operations.
 
 The skip is inherited down the tree.  A column that holds no window of
 min_row rows over an extent holds none over any subset of it: where a
@@ -66,10 +66,11 @@ columns die below the root.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
 matrix, ``cvr`` on the transpose (the dispatch table's transpose rule) and
-``chv`` on the augmented matrix.  The miner here (``_cvc``) maps params onto
-the kernel's arguments and returns its (rows, cols) pairs and node count;
-``enumerate_biclusters`` owns the model transform, the timing, the sort and
-the stats.
+``chv`` on the augmented matrix, which computes the pair columns each read
+asks for (``chv.AugmentedMatrix``): a node holds one block of them at a
+time.  The miner here (``_cvc``) maps params onto the kernel's arguments
+and returns its (rows, cols) pairs and node count; ``enumerate_biclusters``
+owns the model transform, the timing, the sort and the stats.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _read(
     columns.  The slice's other columns are dead, and no test is passed by a
     dead column (see the module docstring), so both reads give one verdict.
     rows is slice(None) only at the root, whose columns are all live, so the
-    root reads a view of values and copies nothing.
+    root reads a plain slice and gathers nothing.
     """
     if _GATHER * len(cols) >= hi - lo:
         return values[rows, lo:hi], np.arange(lo, hi)
@@ -163,23 +164,26 @@ def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, live: np.ndarray
     return all(b >> c & 1 for c in ids[sub.max(axis=0) - sub.min(axis=0) <= eps].tolist())
 
 
-def _fits(sub: np.ndarray, eps: float, min_row: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of sub: is its range <= eps, and does some eps-window hold min_row rows?
+def _fits(
+    values: np.ndarray, rows: np.ndarray | slice, live: np.ndarray, eps: float, min_row: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids read for the live columns, and per id: is its range <= eps, does a window fit?
 
-    Both are read off one sort of the column: the range is s[-1] - s[0], and
-    the window test is s[p + min_row - 1] - s[p] <= eps, the subtraction
-    ``_windows`` cuts with (see the module docstring for why that is exact).
-    Columns are sorted _BLOCK at a time to bound the scratch memory.
+    Both are read off one sort of the column over rows: the range is s[-1] -
+    s[0], and the window test is s[p + min_row - 1] - s[p] <= eps, the
+    subtraction ``_windows`` cuts with (see the module docstring for why
+    that is exact).  Columns are read _BLOCK live ids at a time.
     """
-    k, m = sub.shape
-    absorb = np.zeros(m, dtype=bool)
-    fits = np.zeros(m, dtype=bool)
-    for lo in range(0, m, _BLOCK):
-        s = np.sort(sub[:, lo : lo + _BLOCK], axis=0)
-        absorb[lo : lo + _BLOCK] = s[-1] - s[0] <= eps
-        if k >= min_row:
-            fits[lo : lo + _BLOCK] = ((s[min_row - 1 :] - s[: k - min_row + 1]) <= eps).any(axis=0)
-    return absorb, fits
+    ids, absorb, fits = [live[:0]], [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)]
+    for lo in range(0, len(live), _BLOCK):
+        chunk = live[lo : lo + _BLOCK]
+        sub, read = _read(values, rows, chunk, int(chunk[0]), int(chunk[-1]) + 1)
+        s = np.sort(sub, axis=0)
+        w = max(len(s) - min_row + 1, 0)  # window starts; none if too few rows
+        ids.append(read)
+        absorb.append(s[-1] - s[0] <= eps)
+        fits.append((s[len(s) - w :] - s[:w] <= eps).any(axis=0))
+    return np.concatenate(ids), np.concatenate(absorb), np.concatenate(fits)
 
 
 def _mine_cvc(
@@ -218,8 +222,8 @@ def _mine_cvc(
         nodes += 1
         iy = int(np.searchsorted(live, y))
         # only the root holds every row, and it reads values itself
-        block, cols = _read(values, a if len(a) < n else slice(None), live[iy:], y, m)
-        absorb, fits = _fits(block, eps, min_row)
+        rows = a if len(a) < n else slice(None)
+        cols, absorb, fits = _fits(values, rows, live[iy:], eps, min_row)
         # the node's live columns: the inherited ones < y and those from y
         # that hold a window.  The scan visits those and the absorbed
         # columns, which hold one whenever the extent has min_row rows (and
@@ -243,10 +247,11 @@ def _mine_cvc(
                 b |= 1 << j
                 continue
             # a's rows ascend, so a stable sort keeps tied values in row order
-            order = np.argsort(block[:, p], kind="stable")
+            v = values[rows, j]
+            order = np.argsort(v, kind="stable")
             sids = a[order]
             earlier = live[: iy + i]
-            for s, e in _windows(block[order, p], eps, min_row):
+            for s, e in _windows(v[order], eps, min_row):
                 rw = np.sort(sids[s:e])
                 if not _canonical_fast(values, rw, b, earlier, eps):
                     continue

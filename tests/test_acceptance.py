@@ -25,7 +25,7 @@ from rinclose import (
     save_matrix,
     solution_report,
 )
-from rinclose.chv import build_augmented, clique_candidates
+from rinclose.chv import AugmentedMatrix, clique_candidates
 from rinclose.cli import main as cli_main
 
 NODE_BOUND_C = 4  # nodes_expanded <= C * (found + 1) * m^2 for the cvc family
@@ -95,12 +95,13 @@ def campaign():
 
 def test_worked_example_reproduction(tmp_path, capsys):
     with verdict("worked-example reproduction"):
-        assert build_augmented(TABLE1).values.tobytes() == TABLE2.tobytes()
+        aug = AugmentedMatrix(TABLE1)
+        assert aug[:, 0 : aug.shape[1]].tobytes() == TABLE2.tobytes()
 
         # the two quoted shifting biclusters arise as the clique candidates
         # of the pairwise-difference bicluster on rows {g1,g3}
         e = ((0, 2), (0, 3, 4, 6, 8))
-        cands = clique_candidates(e, build_augmented(TABLE1), min_col=3)
+        cands = clique_candidates(e, aug, min_col=3)
         assert sorted(cands) == [((0, 2), (0, 1, 4)), ((0, 2), (1, 2, 4))]
 
         path = tmp_path / "t1.csv"

@@ -1,28 +1,71 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rinclose import (
     EnumParams,
+    GenConfig,
     enumerate_biclusters,
+    generate,
     is_maximal,
     is_valid,
     oracle_enumerate,
     transpose,
 )
-from rinclose.chv import build_augmented, clique_candidates, extract_chv_from_cvc
+from rinclose.chv import AugmentedMatrix, clique_candidates, extract_chv_from_cvc
 
 # ------------------------------------------------------------ augmented matrix
 
 
+def _dense(aug):
+    return aug[:, 0 : aug.shape[1]]
+
+
 def test_augmented_matrix_of_running_example(table1, table2):
-    aug = build_augmented(table1)
-    assert aug.values.shape == (4, 10)
-    assert np.array_equal(aug.values, table2)
-    assert list(aug.values[0]) == [-1, -1, 0, -5, 0, 1, -4, 1, -4, -5]
+    aug = AugmentedMatrix(table1)
+    assert aug.shape == (4, 10)
+    assert np.array_equal(_dense(aug), table2)
+    assert list(_dense(aug)[0]) == [-1, -1, 0, -5, 0, 1, -4, 1, -4, -5]
+
+
+def test_every_index_form_computes_the_pair_differences():
+    # decimal values, so the differences are inexact: each form the kernel
+    # and _completable read must give the bytes of values[:, j] - values[:, l]
+    rng = np.random.default_rng(7)
+    vals = rng.integers(0, 30, size=(9, 6)) / 10
+    aug = AugmentedMatrix(vals)
+    full = np.stack([vals[:, j] - vals[:, l] for j, l in aug.pairs], axis=1)
+    rows = np.array([0, 3, 4, 8], dtype=np.intp)
+    ids = np.array([1, 6, 7, 14], dtype=np.intp)
+    reads = [
+        (aug[:, 2:11], full[:, 2:11]),
+        (aug[rows, 2:11], full[rows, 2:11]),
+        (aug[rows[:, None], ids], full[rows[:, None], ids]),
+        (aug[:, 9], full[:, 9]),
+        (aug[rows, 9], full[rows, 9]),
+    ]
+    for got, want in reads:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_chv_never_holds_the_whole_augmented_matrix():
+    # 300 x 100 has 4,950 pair columns, an 11.3 MiB augmented matrix; the
+    # walk computes each node's pair columns a block at a time instead
+    mat, _ = generate(GenConfig(n=300, m=100, num_bics=3, bic_rows=30, bic_cols=5, seed=1))
+    buffer_bytes = 300 * (100 * 99 // 2) * 8
+    tracemalloc.start()
+    try:
+        sol = enumerate_biclusters(mat, EnumParams(0.1, 30, 5, "chv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sol) > 0
+    assert peak < buffer_bytes / 2, peak
 
 
 def test_pair_bijection():
-    aug = build_augmented(np.zeros((1, 5)))
+    aug = AugmentedMatrix(np.zeros((1, 5)))
     assert aug.pairs == (
         (0, 1), (0, 2), (0, 3), (0, 4),
         (1, 2), (1, 3), (1, 4),
@@ -31,14 +74,9 @@ def test_pair_bijection():
     )
 
 
-def test_augmented_needs_two_columns():
-    with pytest.raises(ValueError):
-        build_augmented(np.array([[1.0], [2.0]]))
-
-
 def test_augmented_rejects_overflowing_differences():
     with pytest.raises(ValueError, match="non-finite"):
-        build_augmented(np.array([[1e308, -1e308]]))
+        AugmentedMatrix(np.array([[1e308, -1e308]]))
 
 
 def test_both_chv_types_reject_overflowing_differences():
@@ -52,7 +90,7 @@ def test_both_chv_types_reject_overflowing_differences():
 
 def test_constant_rows_give_zero_augmented():
     mat = np.array([[3.0, 3.0, 3.0], [7.0, 7.0, 7.0]])
-    assert not build_augmented(mat).values.any()
+    assert not _dense(AugmentedMatrix(mat)).any()
 
 
 # ------------------------------------------------------------ perfect variant
@@ -119,7 +157,7 @@ def test_perfect_matches_oracle_on_decimal_values():
 
 
 def test_clique_candidates_of_worked_cvc_bicluster(table1):
-    aug = build_augmented(table1)
+    aug = AugmentedMatrix(table1)
     # over the pairwise-difference matrix: extent {g1,g3}, intent columns
     # {1,4,5,7,9} in 1-based labels
     e = ((0, 2), (0, 3, 4, 6, 8))
@@ -131,7 +169,7 @@ def test_clique_candidates_of_worked_cvc_bicluster(table1):
 
 
 def test_extraction_drops_the_completable_candidate(table1):
-    aug = build_augmented(table1)
+    aug = AugmentedMatrix(table1)
     e = ((0, 2), (0, 3, 4, 6, 8))
     kept = extract_chv_from_cvc(e, aug, 1.0, 3, set())
     # ({g1,g3},{m2,m3,m5}) also admits g2, so only the row-maximal one stays
@@ -140,13 +178,13 @@ def test_extraction_drops_the_completable_candidate(table1):
 
 def test_single_clique_intent_kept_unconditionally():
     mat = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [9.0, 0.0, 5.0]])
-    aug = build_augmented(mat)
+    aug = AugmentedMatrix(mat)
     cvc_bic = ((0, 1), (0, 1, 2))  # all three pairs -> one triangle
     assert clique_candidates(cvc_bic, aug, min_col=2) == [((0, 1), (0, 1, 2))]
 
 
 def test_small_cliques_filtered_by_min_col(table1):
-    aug = build_augmented(table1)
+    aug = AugmentedMatrix(table1)
     e = ((0, 2), (0, 3, 4, 6, 8))
     assert all(len(d) >= 4 for _, d in clique_candidates(e, aug, min_col=4))
 

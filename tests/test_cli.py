@@ -250,6 +250,16 @@ def test_output_into_missing_directory_is_a_data_error(table1_csv, tmp_path, cap
     assert not dest.exists()
 
 
+def test_generate_into_missing_directory_is_a_data_error(tmp_path, capsys):
+    dest = tmp_path / "no-such-dir" / "m.csv"
+    argv = ["generate", "--rows", "20", "--cols", "6", "--bics", "1", "--bic-rows", "5",
+            "--bic-cols", "3", "--out-matrix", str(dest), "--out-truth", str(tmp_path / "t.json")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["report", "evaluate"])
 @pytest.mark.parametrize("flag", ["--rows", "--cols"])
 def test_shape_flags_must_be_positive(tmp_path, capsys, command, flag):

@@ -19,7 +19,7 @@ from rinclose import (
     transform_for_model,
     transpose,
 )
-from rinclose.core import BIC_TYPES
+from rinclose.core import BIC_TYPES, _model_values
 from rinclose.io import solution_to_json
 
 
@@ -166,6 +166,21 @@ def test_params_chv_needs_two_columns():
         EnumParams(1.0, 1, 1, "chv")
 
 
+def test_predicates_check_a_plain_array_as_numeric_matrix_does():
+    # is_valid and is_maximal read a plain array in place, but still reject
+    # what NumericMatrix rejects, with the same message
+    bic, params = Bicluster([0], [0]), EnumParams(0.0, 1, 1, "cvc-p")
+    for bad, message in (
+        ([[1.0, float("nan")]], "non-finite"),
+        ([[1.0, float("inf")]], "non-finite"),
+        ([1.0, 2.0], "2-dimensional"),
+        (np.zeros((0, 2)), "at least 1x1"),
+    ):
+        for predicate in (is_valid, is_maximal):
+            with pytest.raises(ValueError, match=message):
+                predicate(np.array(bad), bic, params)
+
+
 def test_transform_shift_is_identity():
     mat = NumericMatrix([[1.0, -3.0]])
     assert transform_for_model(mat, "shift") is mat
@@ -258,9 +273,9 @@ def test_is_maximal_scale_equals_shift_on_the_logs(monkeypatch):
     # under scale its answers on exp(M) are the shift answers on log(exp(M))
     rng = np.random.default_rng(17)
     calls = []
-    real = transform_for_model
+    real = _model_values
     monkeypatch.setattr(
-        "rinclose.core.transform_for_model", lambda m, model: calls.append(model) or real(m, model)
+        "rinclose.core._model_values", lambda m, model: calls.append(model) or real(m, model)
     )
     for _ in range(20):
         mat = np.exp(rng.integers(0, 3, size=(6, 5)) / 2)

@@ -9,7 +9,7 @@ from rinclose import (
     is_valid,
     oracle_enumerate,
 )
-from rinclose.chv import build_augmented
+from rinclose.chv import AugmentedMatrix
 from rinclose.cvc import (
     _canonical_fast,
     _completable,
@@ -17,6 +17,13 @@ from rinclose.cvc import (
     _mine_cvc,
     _windows,
 )
+
+
+def _augmented(values):
+    """The whole augmented matrix of chv, read densely."""
+    aug = AugmentedMatrix(values)
+    return aug[:, 0 : aug.shape[1]]
+
 
 # ---------------------------------------------------------------- windows
 
@@ -101,10 +108,14 @@ def test_fits_agrees_with_the_windows_at_ties():
                 wide = [[(p, e) for p, e in w if e - p >= min_row] for w in scanned]
                 for j in range(0, cols.shape[1], 7):  # a spread of columns keeps it quick
                     assert _windows(cols[:, j], eps, min_row) == wide[j], (eps, min_row, j)
-                block = cols[rng.permutation(n)]
-                absorb, fits = _fits(block, eps, min_row)
+                rows = rng.permutation(n)
+                block = cols[rows]
+                ids, absorb, fits = _fits(cols, rows, np.arange(300), eps, min_row)
+                assert (ids == np.arange(300)).all()
                 assert (absorb == (block.max(axis=0) - block.min(axis=0) <= eps)).all()
                 assert (fits == np.array([bool(w) for w in wide])).all(), (eps, min_row)
+            # fewer rows than min_row: no column holds a window
+            assert not _fits(cols, slice(None), np.arange(300), eps, n + 1)[2].any()
 
 
 # ---------------------------------------------------------------- canonicity
@@ -172,7 +183,7 @@ def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
         for bt in ("cvc", "cvr", "chv"):
             ties = vals[:, narrow]
             if bt == "chv" and narrow.sum() > 1:
-                ties = build_augmented(ties).values
+                ties = _augmented(ties)
             for eps in _tie_epsilons(ties, rng):
                 for min_row in (2, 3, 5):
                     params = (EnumParams(eps, 1, min_row, bt) if bt == "cvr"
@@ -359,7 +370,7 @@ def test_matches_oracle_at_exact_ties():
         m = int(rng.integers(2, 7))
         vals = rng.integers(0, 30, size=(n, m)) / 10
         bt = "cvc" if trial % 2 else "chv"
-        ties = vals if bt == "cvc" else build_augmented(vals).values
+        ties = vals if bt == "cvc" else _augmented(vals)
         min_row = int(rng.integers(3, 5))
         min_col = int(rng.integers(1, 3)) + (bt == "chv")
         for eps in _tie_epsilons(ties[:, [int(rng.integers(ties.shape[1]))]], rng):
