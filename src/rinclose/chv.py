@@ -27,8 +27,13 @@ up as constant-column structure; the pipeline is
    pairs it certifies into a graph, and read candidate intents off the
    maximal cliques; a candidate survives if it uses the whole vertex set or
    no further row fits its extent (``cvc._completable``, the kernel's own
-   row-maximality test, on the augmented columns of the candidate's pairs),
-   and a registry drops repeats arising from different step-2 biclusters.
+   row-maximality test, on the augmented columns of the candidate's pairs).
+   No candidate repeats, so none needs dropping as a duplicate.  Every
+   extent of step 2 is the root's or a child's that entered the walk's
+   extent registry, and no child holds all of its parent's rows (a window
+   that covers the whole extent is absorbed, not cut), so the extents are
+   distinct and candidates from different step-2 biclusters differ in
+   their rows; those of one step-2 bicluster are distinct maximal cliques.
 
 The clique search of step 3 is ``maximal_cliques`` here, Bron-Kerbosch over
 neighbour bitmasks, and step 3 takes the kernel's (rows, cols) index tuples
@@ -159,15 +164,14 @@ def extract_chv_from_cvc(
     aug: AugmentedMatrix,
     epsilon: float,
     min_col: int,
-    emitted: set[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Shifting biclusters contributed by one augmented-matrix bicluster (rows, cols).
 
     Each clique candidate (C, D) is kept iff D covers the whole vertex set B2
     or no row outside C fits every column pair of D, tested on D's columns
-    of the augmented matrix; ``emitted`` deduplicates identical results
-    arising from different source biclusters.  A clique D is all of B2
-    exactly when its |D|(|D|-1)/2 pairs are all of the intent's pairs.
+    of the augmented matrix (step 3 of the module docstring says why no
+    kept pair repeats).  A clique D is all of B2 exactly when its
+    |D|(|D|-1)/2 pairs are all of the intent's pairs.
     """
     rows = np.asarray(bic[0], dtype=np.intp)  # every candidate's C
     column = {aug.pairs[k]: k for k in bic[1]}  # D's pairs are among these
@@ -178,9 +182,7 @@ def extract_chv_from_cvc(
             cols = [column[pair] for pair in combinations(d, 2)]
             if _completable(aug, rows, cols, epsilon):
                 continue
-        if key not in emitted:
-            emitted.add(key)
-            kept.append(key)
+        kept.append(key)
     return kept
 
 
@@ -191,8 +193,7 @@ def _chv(values: np.ndarray, params: EnumParams):
     aug = AugmentedMatrix(values)
     min_pairs = params.min_col * (params.min_col - 1) // 2
     pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs)
-    emitted: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for bic in pairs:
-        out += extract_chv_from_cvc(bic, aug, params.epsilon, params.min_col, emitted)
+        out += extract_chv_from_cvc(bic, aug, params.epsilon, params.min_col)
     return out, nodes

@@ -21,7 +21,7 @@ import sys
 
 from . import ALGORITHMS, enumerate_biclusters
 from . import io as rio
-from .core import BIC_TYPES, EnumParams
+from .core import EnumParams
 from .datagen import PATTERNS, GenConfig, generate
 from .metrics import precision_recall, solution_report
 from .oracle import oracle_enumerate
@@ -101,29 +101,16 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_mine(args, parser: argparse.ArgumentParser) -> int:
-    alg = args.alg
-    oracle_type = None
-    if alg.startswith("oracle:"):
-        oracle_type = alg.split(":", 1)[1]
-        if oracle_type not in BIC_TYPES:
-            parser.error(
-                f"unknown oracle type {oracle_type!r}; expected one of {sorted(BIC_TYPES)}"
-            )
-    elif alg not in ALGORITHMS:
-        parser.error(
-            f"unknown --alg {alg!r}; expected one of {tuple(ALGORITHMS)} or oracle:<type>"
-        )
+    bic_type = args.alg.removeprefix("oracle:")
     try:
-        params = EnumParams(
-            args.epsilon, args.min_rows, args.min_cols, oracle_type or alg, args.model
-        )
+        params = EnumParams(args.epsilon, args.min_rows, args.min_cols, bic_type, args.model)
     except ValueError as exc:
         parser.error(str(exc))
     log.debug("params: %s", params)
     matrix = rio.load_matrix(args.input)
     log.debug("loaded %dx%d matrix from %s", matrix.n_rows, matrix.n_cols, args.input)
-    if oracle_type is not None:
-        log.info("oracle:%s is experimental test tooling (brute force)", oracle_type)
+    if args.alg.startswith("oracle:"):
+        log.info("oracle:%s is experimental test tooling (brute force)", bic_type)
         sol = oracle_enumerate(matrix, params)
     else:
         sol = enumerate_biclusters(matrix, params)

@@ -28,9 +28,11 @@ epsilon-windows overlap.  At epsilon = 0 neither fires and canonicity
 alone suffices, so the perfect types run the bitmask walk of ``inclose2``
 on precomputed groups instead, and this kernel serves epsilon > 0 only.
 Called with epsilon = 0 it walks the same tree as that walk; the tests use
-this to cross-check the two.  The registry's off-switch is private, for the
-test that shows it is needed; the registry is a plain set of extent bytes.
-A node's intent is one column bitmask, and the emitted ones are decoded
+this to cross-check the two.  The registry is a plain set of extent bytes,
+and the walk's one duplicate guard: an emitted extent is the root's or a
+registered child's, and no child holds every row of its parent (a window
+over the whole extent is absorbed, not cut), so none is emitted twice.  A
+node's intent is one column bitmask, and the emitted ones are decoded
 into column tuples once, when the walk ends (``inclose2._decode``).
 
 Each node sorts its extent's values once, column by column from its start
@@ -191,24 +193,22 @@ def _mine_cvc(
     eps: float,
     min_row: int,
     min_col: int,
-    *,
-    use_registry: bool = True,
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """Core walk shared by the perturbed bicluster types.
 
-    Returns (list of (rows, cols) pairs, node count).  A child is dropped by
-    the three guards of the module docstring, in order; ``use_registry=False``
-    switches the registry off, for a test.  A stack entry is (extent, intent
-    mask, start attribute, live columns); a node's children share one live
-    array: its own live columns below its start attribute, plus those from
-    there that hold a window over its extent.
+    Returns (list of (rows, cols) pairs, node count), no extent twice.  A
+    child is dropped by the three guards of the module docstring, in order.
+    A stack entry is (extent, intent mask, start attribute, live columns); a
+    node's children share one live array: its own live columns below its
+    start attribute, plus those from there that hold a window over its
+    extent.
     """
     n, m = values.shape
     # extents of the children created so far; an extent that fails the
     # row-maximality test must stay out, because the same rows can reappear
     # later under a stronger intent that no outside row can join, and that
     # later child is the one that emits the bicluster
-    seen: set[bytes] | None = set() if use_registry else None
+    seen: set[bytes] = set()
     extents: list[tuple[int, ...]] = []
     intents: list[int] = []  # emitted intent masks, decoded when the walk ends
     nodes = 0
@@ -225,18 +225,15 @@ def _mine_cvc(
         rows = a if len(a) < n else slice(None)
         cols, absorb, fits = _fits(values, rows, live[iy:], eps, min_row)
         # the node's live columns: the inherited ones < y and those from y
-        # that hold a window.  The scan visits those and the absorbed
-        # columns, which hold one whenever the extent has min_row rows (and
-        # with fewer rows nothing is cut), so at a cut the i-th scanned
-        # column is live[iy + i].  A column that neither joins the intent
-        # nor holds a window of min_row rows creates no child, so the scan
+        # that hold a window.  A column that neither joins the intent nor
+        # holds a window of min_row rows creates no child, so the scan
         # passes over it; the min_col prune could fire on such a column only
         # when the intent is already too short to emit, and then fires on
         # the next one scanned
         live = np.concatenate((live[:iy], cols[fits]))
         children: list[tuple[np.ndarray, int]] = []
         pruned = False
-        for i, p in enumerate(np.flatnonzero(absorb | fits).tolist()):
+        for p in np.flatnonzero(absorb | fits).tolist():
             j = int(cols[p])
             if b >> j & 1:
                 continue
@@ -250,17 +247,16 @@ def _mine_cvc(
             v = values[rows, j]
             order = np.argsort(v, kind="stable")
             sids = a[order]
-            earlier = live[: iy + i]
+            earlier = live[: np.searchsorted(live, j)]
             for s, e in _windows(v[order], eps, min_row):
                 rw = np.sort(sids[s:e])
                 if not _canonical_fast(values, rw, b, earlier, eps):
                     continue
-                if seen is not None and rw.tobytes() in seen:
+                if rw.tobytes() in seen:
                     continue
                 if _completable(values, rw, (j, *_bits(b)), eps):
                     continue
-                if seen is not None:
-                    seen.add(rw.tobytes())
+                seen.add(rw.tobytes())
                 children.append((rw, j))
         if not pruned and len(a) >= min_row and b.bit_count() >= min_col:
             extents.append(tuple(a.tolist()))

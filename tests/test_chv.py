@@ -14,6 +14,8 @@ from rinclose import (
     transpose,
 )
 from rinclose.chv import AugmentedMatrix, clique_candidates, extract_chv_from_cvc
+from rinclose.cvc import _mine_cvc
+from test_cvc import _tie_epsilons
 
 # ------------------------------------------------------------ augmented matrix
 
@@ -171,7 +173,7 @@ def test_clique_candidates_of_worked_cvc_bicluster(table1):
 def test_extraction_drops_the_completable_candidate(table1):
     aug = AugmentedMatrix(table1)
     e = ((0, 2), (0, 3, 4, 6, 8))
-    kept = extract_chv_from_cvc(e, aug, 1.0, 3, set())
+    kept = extract_chv_from_cvc(e, aug, 1.0, 3)
     # ({g1,g3},{m2,m3,m5}) also admits g2, so only the row-maximal one stays
     assert kept == [((0, 2), (0, 1, 4))]
 
@@ -229,13 +231,32 @@ def test_perturbed_matches_oracle():
         assert found.as_set() == oracle_enumerate(mat, params).as_set()
 
 
-def test_no_duplicates_across_cvc_parents():
+def test_no_duplicates_across_cvc_parents(monkeypatch):
+    # extraction keeps every candidate that is row-maximal and drops no
+    # repeat, so the output is duplicate-free only because the walk's
+    # extents are distinct: check both, on integers and on k/10 decimals
+    # at epsilons that sit on their inexact differences
+    import rinclose.chv
+
+    walks = []
+
+    def recording(*args):
+        pairs, nodes = _mine_cvc(*args)
+        walks.append([rows for rows, _ in pairs])
+        return pairs, nodes
+
+    monkeypatch.setattr(rinclose.chv, "_mine_cvc", recording)
     rng = np.random.default_rng(43)
-    for _ in range(10):
-        mat = rng.integers(0, 3, size=(8, 5)).astype(float)
-        sol = enumerate_biclusters(mat, EnumParams(1.0, 2, 2, "chv"))
+    cases = [(rng.integers(0, 3, size=(8, 5)).astype(float), 1.0) for _ in range(10)]
+    for _ in range(6):
+        mat = rng.integers(0, 30, size=(8, 5)) / 10
+        cases += [(mat, eps) for eps in _tie_epsilons(mat, rng)]
+    for mat, eps in cases:
+        sol = enumerate_biclusters(mat, EnumParams(eps, 2, 2, "chv"))
         pairs = [(b.rows, b.cols) for b in sol.biclusters]
         assert len(set(pairs)) == len(pairs)
+    assert len(walks) == len(cases)
+    assert all(len(set(extents)) == len(extents) for extents in walks)
 
 
 def test_outputs_are_valid_and_maximal():

@@ -80,9 +80,11 @@ def test_ctv_binary_with_scale_model_is_a_usage_error(tmp_path, capsys):
 
 
 def test_unknown_alg_is_a_usage_error(table1_csv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["mine", "--alg", "ctv", "--input", table1_csv])
-    assert exc.value.code == 2
+    for alg in ("ctv", "oracle:nope"):
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "--alg", alg, "--input", table1_csv])
+        assert exc.value.code == 2
+        assert "unknown bic_type" in capsys.readouterr().err
 
 
 def test_missing_input_is_a_data_error(tmp_path, capsys):
