@@ -80,7 +80,8 @@ def enumerate_biclusters(matrix, params: EnumParams) -> BiclusterSolution:
     """
     t0 = time.perf_counter()
     values = transform_for_model(matrix, params.model).values
-    pairs, nodes = ALGORITHMS[params.bic_type](values, params)
+    with np.errstate(over="ignore"):  # an overflowed range is +inf, above every epsilon
+        pairs, nodes = ALGORITHMS[params.bic_type](values, params)
     bics = tuple(map(Bicluster._make, sorted(pairs)))
     return BiclusterSolution(
         biclusters=bics,

@@ -242,6 +242,7 @@ def _check_indices(values: np.ndarray, bic: Bicluster) -> None:
         raise IndexError(f"column index out of range for {n}x{m} matrix")
 
 
+@np.errstate(over="ignore")  # an overflowed range is +inf, above every epsilon
 def _homogeneous(values: np.ndarray, rows, cols, params: EnumParams) -> bool:
     """``is_valid``'s residue test on model-space values, for any row and column ids."""
     t = params.bic_type

@@ -45,9 +45,16 @@ subtraction is monotone in each operand, so a window of min_row rows
 starts at sorted position p iff s[p + min_row - 1] - s[p] <= epsilon.  A
 skipped column would have created no child, so the guards never see it,
 and children, node counts and output stay the same.  A cut column is
-read again on its own, ordered by a stable sort (the extent's rows
-ascend, so ties keep row order), and ``_windows`` selects its maximal
-windows of min_row rows or more with array operations.
+read again on its own and sorted, and ``_windows`` selects its maximal
+windows of min_row rows or more with array operations.  The sort need not
+be stable: no maximal window splits a run of tied values (if s[p-1] ==
+s[p], both starts end alike, so p is not maximal; if s[e] == s[e-1], row e
+fits too; -0.0 and 0.0 give the same differences), and each window's rows
+are sorted again.  A window whose extent the node has cut before (``cut``)
+or the registry holds is dropped before canonicity reads anything: the
+former was cut at an earlier column e, live, outside the intent and of
+range <= epsilon over it, so canonicity rejects it; the registry drops the
+latter anyway.
 
 The skip is inherited down the tree.  A column that holds no window of
 min_row rows over an extent holds none over any subset of it: where a
@@ -91,29 +98,30 @@ _GATHER = 5  # see _read
 def _windows(sv: np.ndarray, eps: float, min_row: int) -> list[tuple[int, int]]:
     """(start, end) of each maximal eps-window of sv holding at least min_row rows.
 
-    sv must be sorted ascending.  The window starting at p ends one past the
-    last index q with sv[q] - sv[p] <= eps: searchsorted gives a first guess,
-    and the exact boundary is then settled with the same subtraction the
-    validity predicate uses, so windows and is_valid can never disagree on a
-    tie.  Ends are non-decreasing, so a window is maximal iff it reaches
-    strictly beyond its predecessor's end (start 0 always does).
+    sv must be sorted ascending; only starts p with sv[p + min_row - 1] -
+    sv[p] <= eps (``_fits``' test) are visited.  The window at p ends one
+    past the last q with sv[q] - sv[p] <= eps: searchsorted guesses, and the
+    exact end is settled with the subtraction the validity predicate uses,
+    so windows and is_valid never disagree on a tie.  Start 0 is maximal, and
+    p > 0 iff it reaches past its predecessor: sv[end - 1] - sv[p - 1] > eps.
     """
     n = len(sv)
-    ends = np.searchsorted(sv, sv + eps, side="right").astype(np.int64)
-    over = sv[ends - 1] - sv > eps
-    under = (ends < n) & (sv[np.minimum(ends, n - 1)] - sv <= eps)
-    for p in np.flatnonzero(over | under):
-        e = int(ends[p])
+    if n < min_row:
+        return []
+    starts = np.flatnonzero(sv[min_row - 1 :] - sv[: n - min_row + 1] <= eps)
+    sp = sv[starts]
+    ends = np.searchsorted(sv, sp + eps, side="right")
+    over = sv[ends - 1] - sp > eps
+    under = (ends < n) & (sv[np.minimum(ends, n - 1)] - sp <= eps)
+    for i in np.flatnonzero(over | under).tolist():
+        p, e = int(starts[i]), int(ends[i])
         while e < n and sv[e] - sv[p] <= eps:
             e += 1
         while e - 1 > p and sv[e - 1] - sv[p] > eps:
             e -= 1
-        ends[p] = e
-    maximal = np.ones(n, dtype=bool)
-    maximal[1:] = ends[1:] > ends[:-1]
-    starts = np.flatnonzero(maximal)
-    starts = starts[ends[starts] - starts >= min_row]
-    return list(zip(starts.tolist(), ends[starts].tolist()))
+        ends[i] = e
+    keep = (starts == 0) | (sv[ends - 1] - sv[starts - 1] > eps)
+    return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
 def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps: float) -> bool:
@@ -197,7 +205,8 @@ def _mine_cvc(
     """Core walk shared by the perturbed bicluster types.
 
     Returns (list of (rows, cols) pairs, node count), no extent twice.  A
-    child is dropped by the three guards of the module docstring, in order.
+    child is dropped by the three guards of the module docstring; a window
+    already cut at the node or in the registry is dropped before any read.
     A stack entry is (extent, intent mask, start attribute, live columns); a
     node's children share one live array: its own live columns below its
     start attribute, plus those from there that hold a window over its
@@ -232,6 +241,7 @@ def _mine_cvc(
         # the next one scanned
         live = np.concatenate((live[:iy], cols[fits]))
         children: list[tuple[np.ndarray, int]] = []
+        cut: set[bytes] = set()  # extents of the windows this node has cut
         pruned = False
         for p in np.flatnonzero(absorb | fits).tolist():
             j = int(cols[p])
@@ -243,20 +253,21 @@ def _mine_cvc(
             if absorb[p]:
                 b |= 1 << j
                 continue
-            # a's rows ascend, so a stable sort keeps tied values in row order
             v = values[rows, j]
-            order = np.argsort(v, kind="stable")
+            order = np.argsort(v)  # unstable: no maximal window splits a tie
             sids = a[order]
             earlier = live[: np.searchsorted(live, j)]
             for s, e in _windows(v[order], eps, min_row):
                 rw = np.sort(sids[s:e])
-                if not _canonical_fast(values, rw, b, earlier, eps):
+                key = rw.tobytes()
+                if key in cut or key in seen:
                     continue
-                if rw.tobytes() in seen:
+                cut.add(key)
+                if not _canonical_fast(values, rw, b, earlier, eps):
                     continue
                 if _completable(values, rw, (j, *_bits(b)), eps):
                     continue
-                seen.add(rw.tobytes())
+                seen.add(key)
                 children.append((rw, j))
         if not pruned and len(a) >= min_row and b.bit_count() >= min_col:
             extents.append(tuple(a.tolist()))

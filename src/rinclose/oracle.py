@@ -170,6 +170,7 @@ def _col_addable(values: np.ndarray, rows, cols, c: int, eps: float, bic_type: s
     return True
 
 
+@np.errstate(over="ignore")  # an overflowed range is +inf, above every epsilon
 def oracle_enumerate(matrix, params: EnumParams) -> BiclusterSolution:
     """Exact maximal-bicluster set by exhaustive search; small inputs only."""
     t0 = time.perf_counter()

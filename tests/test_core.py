@@ -15,6 +15,7 @@ from rinclose import (
     generate,
     is_maximal,
     is_valid,
+    oracle_enumerate,
     sort_biclusters,
     transform_for_model,
     transpose,
@@ -320,6 +321,24 @@ def test_full_matrix_maximal_with_huge_epsilon():
     assert is_maximal(mat, Bicluster([0, 1], [0, 1]), p)
 
 
+def test_overflowing_ranges_exceed_every_epsilon():
+    # a range that overflows is +inf, above every finite epsilon: the miners,
+    # the predicates and the oracle agree on it without a RuntimeWarning,
+    # which pytest turns into an error
+    ranges = np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]])
+    pairs = np.array([[1e308, 0.0, 5.0], [-1e308, 0.0, 5.0]])  # finite differences, range not
+    runs = [(mat, EnumParams(0.5, 1, 1, t)) for mat in (ranges, pairs) for t in ("cvc", "cvr")]
+    runs += [(pairs, EnumParams(1.0, 1, 2, "chv")), (pairs, EnumParams(0.0, 1, 2, "chv-p"))]
+    for mat, params in runs:
+        sol = enumerate_biclusters(mat, params)
+        assert len(sol) > 1 and sol.biclusters == oracle_enumerate(mat, params).biclusters, params
+        assert all(is_valid(mat, b, params) and is_maximal(mat, b, params) for b in sol), params
+    # on the first matrix the differences themselves overflow, which chv rejects
+    for params in (EnumParams(1.0, 1, 2, "chv"), EnumParams(0.0, 1, 2, "chv-p")):
+        with pytest.raises(ValueError, match="non-finite"):
+            enumerate_biclusters(ranges, params)
+
+
 def _ints(seed, hi, shape):
     return np.random.default_rng(seed).integers(0, hi, size=shape).astype(float)
 
@@ -367,17 +386,35 @@ def test_every_type_pins_output_and_node_count():
         assert (sol.stats.nodes_expanded, len(sol), digest) == pinned, bic_type
 
 
-def test_chv_pins_a_walk_where_most_columns_hold_no_window():
+def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
     # planted shift blocks in a uniform [0, 100] background: about 7 in 8
     # column scans of this walk find no eps-window of min_row rows, so the
-    # kernel's per-node prefilter skips most columns; nodes and bytes must
-    # not move
+    # kernel's per-node prefilter skips most columns; and most windows repeat
+    # rows that an earlier column of the same node has cut, so they are
+    # dropped before canonicity reads them; nodes and bytes must not move
+    import rinclose.cvc
+
+    calls = {"windows": 0, "reads": 0}
+    windows, canonical = rinclose.cvc._windows, rinclose.cvc._canonical_fast
+
+    def counted_windows(*args):
+        out = windows(*args)
+        calls["windows"] += len(out)
+        return out
+
+    def counted_canonical(*args):
+        calls["reads"] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(rinclose.cvc, "_windows", counted_windows)
+    monkeypatch.setattr(rinclose.cvc, "_canonical_fast", counted_canonical)
     mat, _ = generate(GenConfig(n=120, m=16, num_bics=3, bic_rows=20, bic_cols=6,
                                 overlap=0.2, noise_sigma=0.01, seed=0))
     sol = enumerate_biclusters(mat, EnumParams(0.1, 12, 4, "chv"))
     digest = hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
     assert (sol.stats.nodes_expanded, len(sol), digest) == (
         13, 3, "777c08aadd5912d885e0954d2f695f8e3e7babed458b5dbe91ebaee6671a179d")
+    assert 0 < calls["reads"] < calls["windows"], calls
 
 
 def test_cvc_pins_a_walk_on_sparse_live_columns(monkeypatch):

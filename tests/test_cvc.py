@@ -116,6 +116,26 @@ def test_fits_agrees_with_the_windows_at_ties():
                 assert (fits == np.array([bool(w) for w in wide])).all(), (eps, min_row)
             # fewer rows than min_row: no column holds a window
             assert not _fits(cols, slice(None), np.arange(300), eps, n + 1)[2].any()
+            assert all(_windows(cols[:, j], eps, n + 1) == [] for j in range(0, 300, 7))
+
+
+def test_windows_do_not_depend_on_the_order_of_tied_rows():
+    # no maximal window splits a run of tied values (signed zeros included),
+    # so shuffling the rows within each run, as an unstable sort may, leaves
+    # every window's row set as the row-ordered sort of _window_rows cuts it
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(2, 15))
+        vals = rng.integers(-3, 4, size=n).astype(float)
+        vals[vals == 0] *= rng.choice([-1.0, 1.0], size=int((vals == 0).sum()))
+        if vals.min() == vals.max():
+            continue
+        for eps in _tie_epsilons(vals, rng):
+            wide = _window_rows(list(enumerate(vals)), eps)
+            for min_row in (1, 2, 3):
+                order = np.lexsort((rng.permutation(n), vals))  # ties in random order
+                shuffled = [sorted(order[p:e].tolist()) for p, e in _windows(vals[order], eps, min_row)]
+                assert shuffled == [w for w in wide if len(w) >= min_row], (vals, eps, min_row)
 
 
 # ---------------------------------------------------------------- canonicity
@@ -416,20 +436,34 @@ def test_outputs_are_valid_and_maximal():
 
 
 def test_registry_drops_extents_that_pass_canonicity_again(monkeypatch):
+    # overlapping windows bring extents back along a second path: on this
+    # input four registered extents come back where canonicity would pass
+    # them.  The registry is asked first, so no registered extent is read
+    # again; an extent that failed row-maximality was not registered, so it
+    # is read and passes canonicity again
     import rinclose.cvc
 
     passes: dict[bytes, int] = {}
+    registered: set[bytes] = set()
 
     def counting(values, rw, b, live, eps):
+        assert rw.tobytes() not in registered
         ok = _canonical_fast(values, rw, b, live, eps)
         if ok:
             passes[rw.tobytes()] = passes.get(rw.tobytes(), 0) + 1
         return ok
 
+    def registering(values, rw, cols, eps):
+        joinable = _completable(values, rw, cols, eps)
+        if not joinable:
+            registered.add(rw.tobytes())
+        return joinable
+
     monkeypatch.setattr(rinclose.cvc, "_canonical_fast", counting)
+    monkeypatch.setattr(rinclose.cvc, "_completable", registering)
     vals = np.random.default_rng(0).integers(0, 6, size=(10, 5)).astype(float)
     pairs, _ = _mine_cvc(vals, 1.0, 1, 1)
-    assert max(passes.values()) > 1  # an extent came back along a second path
+    assert max(passes.values()) > 1
     extents = [rows for rows, _ in pairs]
     assert len(set(extents)) == len(extents)
 
