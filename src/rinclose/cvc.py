@@ -40,21 +40,31 @@ attribute (values only, _BLOCK columns at a time), and reads both tests
 off that sort: a column whose range s[-1] - s[0] is within epsilon is
 absorbed, and a column holding an epsilon-window of at least min_row rows
 is cut; the attribute loop visits only those.  The skip is exact: the
-window test uses the same subtraction as ``_windows``, and floating-point
+window test uses the same subtraction as ``_cut``, and floating-point
 subtraction is monotone in each operand, so a window of min_row rows
 starts at sorted position p iff s[p + min_row - 1] - s[p] <= epsilon.  A
 skipped column would have created no child, so the guards never see it,
-and children, node counts and output stay the same.  A cut column is
-read again on its own and sorted, and ``_windows`` selects its maximal
-windows of min_row rows or more with array operations.  The sort need not
-be stable: no maximal window splits a run of tied values (if s[p-1] ==
-s[p], both starts end alike, so p is not maximal; if s[e] == s[e-1], row e
-fits too; -0.0 and 0.0 give the same differences), and each window's rows
-are sorted again.  A window whose extent the node has cut before (``cut``)
-or the registry holds is dropped before canonicity reads anything: the
-former was cut at an earlier column e, live, outside the intent and of
-range <= epsilon over it, so canonicity rejects it; the registry drops the
-latter anyway.
+and children, node counts and output stay the same.
+
+The cut columns are then cut in one batch (``_cut``): read again over the
+extent, _BLOCK at a time, into a contiguous columns x rows block whose
+values and row order are sorted along the rows, and the maximal windows
+of min_row rows or more of the whole block are found in one array pass.
+The batch can be built before the scan, because the set of cut columns
+does not depend on the intent the scan grows: a column of the inherited
+intent has range <= epsilon over a superset of the extent, hence over the
+extent, so it is absorbed and never cut.  The min_col prune only ends the
+scan early, and the windows of the columns past it go unused.  A node
+holds one block of columns at a time, in ``_fits`` and in the cut alike.
+Neither sort need be stable, nor need they order tied values alike: no
+maximal window splits a run of tied values (if s[p-1] == s[p], both starts
+end alike, so p is not maximal; if s[e] == s[e-1], row e fits too; -0.0
+and 0.0 give the same differences), and each window's rows are sorted
+again.  The scan takes each cut column's windows in order.  A window
+whose extent the node has cut before (``cut``) or the registry holds is
+dropped before canonicity reads anything: the former was cut at an
+earlier column e, live, outside the intent and of range <= epsilon over
+it, so canonicity rejects it; the registry drops the latter anyway.
 
 The skip is inherited down the tree.  A column that holds no window of
 min_row rows over an extent holds none over any subset of it: where a
@@ -91,37 +101,56 @@ import numpy as np
 from .core import EnumParams
 from .inclose2 import _bits, _decode
 
-_BLOCK = 256  # columns per sort in _fits
+_BLOCK = 256  # columns per sort in _fits and _cut
 _GATHER = 5  # see _read
 
 
-def _windows(sv: np.ndarray, eps: float, min_row: int) -> list[tuple[int, int]]:
-    """(start, end) of each maximal eps-window of sv holding at least min_row rows.
+def _cut(
+    values: np.ndarray, rows: np.ndarray | slice, a: np.ndarray, ids: np.ndarray, eps: float, min_row: int
+) -> list[list[np.ndarray]]:
+    """Per column of ids, its maximal eps-windows of min_row rows or more over the extent a.
 
-    sv must be sorted ascending; only starts p with sv[p + min_row - 1] -
-    sv[p] <= eps (``_fits``' test) are visited.  The window at p ends one
-    past the last q with sv[q] - sv[p] <= eps: searchsorted guesses, and the
-    exact end is settled with the subtraction the validity predicate uses,
-    so windows and is_valid never disagree on a tie.  Start 0 is maximal, and
-    p > 0 iff it reaches past its predecessor: sv[end - 1] - sv[p - 1] > eps.
+    rows indexes a's rows of values (slice(None) at the root, where a holds
+    every row).  A window is the ascending row ids of a run of the column's
+    sorted values, and a column's windows come in the order of their starts.  The columns are read _BLOCK
+    at a time, as a contiguous columns x rows block that is sorted along
+    its rows, and the windows of the whole block are found in one pass.
+    Only starts p with s[p + min_row - 1] - s[p] <= eps (``_fits``' test)
+    are visited.  The window at p ends one past the last q with s[q] - s[p]
+    <= eps: searchsorted guesses, and the exact end is settled with the
+    subtraction the validity predicate uses, so windows and is_valid never
+    disagree on a tie.  Start 0 is maximal, and p > 0 iff it reaches past
+    its predecessor: s[end - 1] - s[p - 1] > eps.
     """
-    n = len(sv)
-    if n < min_row:
-        return []
-    starts = np.flatnonzero(sv[min_row - 1 :] - sv[: n - min_row + 1] <= eps)
-    sp = sv[starts]
-    ends = np.searchsorted(sv, sp + eps, side="right")
-    over = sv[ends - 1] - sp > eps
-    under = (ends < n) & (sv[np.minimum(ends, n - 1)] - sp <= eps)
-    for i in np.flatnonzero(over | under).tolist():
-        p, e = int(starts[i]), int(ends[i])
-        while e < n and sv[e] - sv[p] <= eps:
-            e += 1
-        while e - 1 > p and sv[e - 1] - sv[p] > eps:
-            e -= 1
-        ends[i] = e
-    keep = (starts == 0) | (sv[ends - 1] - sv[starts - 1] > eps)
-    return list(zip(starts[keep].tolist(), ends[keep].tolist()))
+    n = len(a)
+    w = max(n - min_row + 1, 0)  # window starts; none if too few rows
+    at = rows if isinstance(rows, slice) else rows[:, None]
+    out: list[list[np.ndarray]] = []
+    for lo in range(0, len(ids), _BLOCK):
+        chunk = ids[lo : lo + _BLOCK]
+        block = np.ascontiguousarray(values[at, chunk].T)
+        order = np.argsort(block, axis=1)  # unstable: no maximal window splits a tie
+        s = np.sort(block, axis=1)
+        c, p = np.nonzero(s[:, n - w :] - s[:, :w] <= eps)  # by column, then start
+        sp = s[c, p]
+        bounds = np.searchsorted(c, np.arange(len(chunk) + 1)).tolist()
+        e = np.concatenate([np.searchsorted(s[k], sp[i:f] + eps, side="right")
+                            for k, (i, f) in enumerate(zip(bounds, bounds[1:]))])
+        over = s[c, e - 1] - sp > eps
+        under = (e < n) & (s[c, np.minimum(e, n - 1)] - sp <= eps)
+        for i in np.flatnonzero(over | under).tolist():
+            v, q, f = s[c[i]], int(p[i]), int(e[i])
+            while f < n and v[f] - v[q] <= eps:
+                f += 1
+            while f - 1 > q and v[f - 1] - v[q] > eps:
+                f -= 1
+            e[i] = f
+        keep = (p == 0) | (s[c, e - 1] - s[c, p - 1] > eps)
+        windows: list[list[np.ndarray]] = [[] for _ in chunk]
+        for k, q, f in zip(c[keep].tolist(), p[keep].tolist(), e[keep].tolist()):
+            windows[k].append(np.sort(a[order[k, q:f]]))
+        out += windows
+    return out
 
 
 def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps: float) -> bool:
@@ -181,8 +210,8 @@ def _fits(
 
     Both are read off one sort of the column over rows: the range is s[-1] -
     s[0], and the window test is s[p + min_row - 1] - s[p] <= eps, the
-    subtraction ``_windows`` cuts with (see the module docstring for why
-    that is exact).  Columns are read _BLOCK live ids at a time.
+    subtraction ``_cut`` cuts with (see the module docstring for why that
+    is exact).  Columns are read _BLOCK live ids at a time.
     """
     ids, absorb, fits = [live[:0]], [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)]
     for lo in range(0, len(live), _BLOCK):
@@ -205,8 +234,10 @@ def _mine_cvc(
     """Core walk shared by the perturbed bicluster types.
 
     Returns (list of (rows, cols) pairs, node count), no extent twice.  A
-    child is dropped by the three guards of the module docstring; a window
-    already cut at the node or in the registry is dropped before any read.
+    node cuts all its cut columns in one batch before its scan (``_cut``),
+    and the scan takes their windows column by column.  A child is dropped
+    by the three guards of the module docstring; a window already cut at
+    the node or in the registry is dropped before any read.
     A stack entry is (extent, intent mask, start attribute, live columns); a
     node's children share one live array: its own live columns below its
     start attribute, plus those from there that hold a window over its
@@ -240,6 +271,10 @@ def _mine_cvc(
         # when the intent is already too short to emit, and then fires on
         # the next one scanned
         live = np.concatenate((live[:iy], cols[fits]))
+        # the cut columns are fixed before the scan: an intent column has
+        # range <= eps over a superset of the extent, so it is absorbed
+        cuts = cols[fits & ~absorb]
+        windows = dict(zip(cuts.tolist(), _cut(values, rows, a, cuts, eps, min_row)))
         children: list[tuple[np.ndarray, int]] = []
         cut: set[bytes] = set()  # extents of the windows this node has cut
         pruned = False
@@ -253,12 +288,8 @@ def _mine_cvc(
             if absorb[p]:
                 b |= 1 << j
                 continue
-            v = values[rows, j]
-            order = np.argsort(v)  # unstable: no maximal window splits a tie
-            sids = a[order]
             earlier = live[: np.searchsorted(live, j)]
-            for s, e in _windows(v[order], eps, min_row):
-                rw = np.sort(sids[s:e])
+            for rw in windows[j]:
                 key = rw.tobytes()
                 if key in cut or key in seen:
                     continue

@@ -13,10 +13,11 @@ from rinclose.chv import AugmentedMatrix
 from rinclose.cvc import (
     _canonical_fast,
     _completable,
+    _cut,
     _fits,
     _mine_cvc,
-    _windows,
 )
+from rinclose.io import solution_to_json
 
 
 def _augmented(values):
@@ -30,10 +31,10 @@ def _augmented(values):
 
 def _window_rows(rows, eps):
     """Maximal eps-windows of (row-id, value) pairs, cut the way the kernel cuts them."""
-    pairs = sorted(rows, key=lambda rv: (rv[1], rv[0]))
-    ids = [r for r, _ in pairs]
-    sv = np.array([v for _, v in pairs], dtype=np.float64)
-    return [sorted(ids[p:e]) for p, e in _windows(sv, eps, 1)]
+    ids = np.array([r for r, _ in rows], dtype=np.intp)
+    values = np.zeros((ids.max() + 1, 1))
+    values[ids, 0] = [v for _, v in rows]
+    return [w.tolist() for w in _cut(values, ids, ids, np.zeros(1, dtype=np.intp), eps, 1)[0]]
 
 
 def test_windows_all_equal_values():
@@ -95,6 +96,15 @@ def _scanned_windows(sv, eps):
     return out
 
 
+def _brute_windows(values, rows, j, eps, min_row):
+    """Row sets of the maximal eps-windows of column j over rows, of min_row rows or more,
+    by the brute-force scan of the column sorted by (value, row)."""
+    vals = np.asarray(values[rows, j], dtype=float)
+    order = np.lexsort((rows, vals))
+    return [sorted(rows[order[p:e]].tolist()) for p, e in _scanned_windows(vals[order], eps)
+            if e - p >= min_row]
+
+
 def test_fits_agrees_with_the_windows_at_ties():
     # decimal columns, so differences are inexact and epsilon sits on them;
     # more columns than one sort block, so the block seams are crossed too
@@ -102,12 +112,16 @@ def test_fits_agrees_with_the_windows_at_ties():
     for _ in range(20):
         n = int(rng.integers(1, 12))
         cols = np.sort(rng.integers(0, 30, size=(n, 300)) / 10, axis=0)
+        spread = np.arange(0, 300, 7)  # a spread of columns keeps it quick
         for eps in _tie_epsilons(cols[:, 0], rng) if n > 1 else (0.1,):
             scanned = [_scanned_windows(cols[:, j], eps) for j in range(cols.shape[1])]
             for min_row in range(1, n + 1):
                 wide = [[(p, e) for p, e in w if e - p >= min_row] for w in scanned]
-                for j in range(0, cols.shape[1], 7):  # a spread of columns keeps it quick
-                    assert _windows(cols[:, j], eps, min_row) == wide[j], (eps, min_row, j)
+                # the columns are sorted, so window p:e holds rows p..e-1
+                cut = _cut(cols, slice(None), np.arange(n), spread, eps, min_row)
+                for j, got in zip(spread.tolist(), cut):
+                    assert [w.tolist() for w in got] == [list(range(p, e)) for p, e in wide[j]], (
+                        eps, min_row, j)
                 rows = rng.permutation(n)
                 block = cols[rows]
                 ids, absorb, fits = _fits(cols, rows, np.arange(300), eps, min_row)
@@ -116,13 +130,14 @@ def test_fits_agrees_with_the_windows_at_ties():
                 assert (fits == np.array([bool(w) for w in wide])).all(), (eps, min_row)
             # fewer rows than min_row: no column holds a window
             assert not _fits(cols, slice(None), np.arange(300), eps, n + 1)[2].any()
-            assert all(_windows(cols[:, j], eps, n + 1) == [] for j in range(0, 300, 7))
+            assert _cut(cols, slice(None), np.arange(n), spread, eps, n + 1) == [[]] * len(spread)
 
 
 def test_windows_do_not_depend_on_the_order_of_tied_rows():
     # no maximal window splits a run of tied values (signed zeros included),
-    # so shuffling the rows within each run, as an unstable sort may, leaves
-    # every window's row set as the row-ordered sort of _window_rows cuts it
+    # so whatever order the unstable sort leaves tied rows in, and it
+    # depends on the order the rows are read in, every window's row set is
+    # the one the row-ordered sort of _window_rows cuts
     rng = np.random.default_rng(23)
     for _ in range(200):
         n = int(rng.integers(2, 15))
@@ -133,9 +148,96 @@ def test_windows_do_not_depend_on_the_order_of_tied_rows():
         for eps in _tie_epsilons(vals, rng):
             wide = _window_rows(list(enumerate(vals)), eps)
             for min_row in (1, 2, 3):
-                order = np.lexsort((rng.permutation(n), vals))  # ties in random order
-                shuffled = [sorted(order[p:e].tolist()) for p, e in _windows(vals[order], eps, min_row)]
-                assert shuffled == [w for w in wide if len(w) >= min_row], (vals, eps, min_row)
+                rows = rng.permutation(n)  # ties read in random order
+                got = _cut(vals[:, None], rows, rows, np.zeros(1, dtype=np.intp), eps, min_row)[0]
+                assert [w.tolist() for w in got] == [w for w in wide if len(w) >= min_row], (
+                    vals, eps, min_row)
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
+    # columns that hold no window, one, or several, cut in blocks of every
+    # size, read from a row subset, from the root and from an augmented
+    # matrix; each column's windows are the brute-force scan's
+    import rinclose.cvc
+
+    monkeypatch.setattr(rinclose.cvc, "_BLOCK", block)
+    rng = np.random.default_rng(67)
+    counts = set()
+    for _ in range(30):
+        n = int(rng.integers(3, 14))
+        narrow = rng.integers(0, 6, size=(n, 4)) / 10  # many windows
+        wide = rng.integers(0, 300, size=(n, 3)) / 10  # few or none
+        flat = np.full((n, 1), 0.7)  # one window, the whole extent
+        values = np.hstack((narrow, wide, flat))[:, rng.permutation(8)]
+        sources = [values, AugmentedMatrix(values)]
+        for eps in _tie_epsilons(narrow, rng):
+            for min_row in (1, 2, 3):
+                for mat in sources:
+                    ids = np.sort(rng.choice(mat.shape[1], size=min(mat.shape[1], 11), replace=False))
+                    subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                    for rows, a in ((slice(None), np.arange(n)), (subset, subset)):
+                        cut = _cut(mat, rows, a, ids, eps, min_row)
+                        assert len(cut) == len(ids)
+                        for j, got in zip(ids.tolist(), cut):
+                            assert all(w.dtype == np.intp for w in got)
+                            assert [w.tolist() for w in got] == _brute_windows(mat, a, j, eps, min_row)
+                            counts.add(min(len(got), 2))
+    assert counts == {0, 1, 2}, counts
+
+
+def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
+    # a node cuts its columns _BLOCK at a time; on chv the root of this
+    # 20x26 matrix cuts more than 256 of its 325 pair columns, so every
+    # block size below leaves a seam there.  No read of the cut may hold
+    # more than _BLOCK columns (a node holds one block of pair columns at a
+    # time), and node counts and output bytes must not depend on the size
+    import sys
+
+    import rinclose.chv
+    import rinclose.cvc
+
+    reads, cuts = [], []
+    mine, cut = rinclose.cvc._mine_cvc, rinclose.cvc._cut
+
+    class Recorded:
+        """The kernel's matrix, recording the width of every read the cut makes."""
+
+        def __init__(self, inner):
+            self.inner, self.shape = inner, inner.shape
+
+        def __getitem__(self, key):
+            out = self.inner[key]
+            if sys._getframe(1).f_code.co_name == "_cut":
+                reads.append(out.shape[1])
+            return out
+
+    def recorded_mine(values, *args):
+        return mine(Recorded(values), *args)
+
+    def counted_cut(values, rows, a, ids, eps, min_row):
+        cuts.append(len(ids))
+        return cut(values, rows, a, ids, eps, min_row)
+
+    for module in (rinclose.cvc, rinclose.chv):
+        monkeypatch.setattr(module, "_mine_cvc", recorded_mine)
+    monkeypatch.setattr(rinclose.cvc, "_cut", counted_cut)
+    rng = np.random.default_rng(0)
+    cases = [(rng.integers(0, 30, size=(60, 20)) / 10, EnumParams(0.4, 5, 2, "cvc")),
+             (rng.integers(0, 6, size=(20, 26)).astype(float), EnumParams(1.0, 7, 3, "chv"))]
+    for values, params in cases:
+        runs = set()
+        for block in (1, 7, 256):
+            monkeypatch.setattr(rinclose.cvc, "_BLOCK", block)
+            reads.clear()
+            cuts.clear()
+            sol = enumerate_biclusters(values, params)
+            runs.add((sol.stats.nodes_expanded, solution_to_json(sol)))
+            assert reads and max(reads) <= block, (params.bic_type, block)
+            assert sum(reads) == sum(cuts)
+        assert len(runs) == 1, params.bic_type
+        assert len(sol) > 0
+    assert max(cuts) > 256, max(cuts)
 
 
 # ---------------------------------------------------------------- canonicity
