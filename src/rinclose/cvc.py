@@ -36,35 +36,35 @@ node's intent is one column bitmask, and the emitted ones are decoded
 into column tuples once, when the walk ends (``inclose2._decode``).
 
 Each node sorts its extent's values once, column by column from its start
-attribute (values only, _BLOCK columns at a time), and reads both tests
-off that sort: a column whose range s[-1] - s[0] is within epsilon is
-absorbed, and a column holding an epsilon-window of at least min_row rows
-is cut; the attribute loop visits only those.  The skip is exact: the
-window test uses the same subtraction as ``_cut``, and floating-point
-subtraction is monotone in each operand, so a window of min_row rows
-starts at sorted position p iff s[p + min_row - 1] - s[p] <= epsilon.  A
-skipped column would have created no child, so the guards never see it,
-and children, node counts and output stay the same.
+attribute (values only, _BLOCK columns at a time), and reads every test
+and every window off that one sort (``_fits``): a column whose range s[-1]
+- s[0] is within epsilon is absorbed, a column holding an epsilon-window
+of at least min_row rows fits, and a column that fits and is not absorbed
+is cut; the attribute loop visits only absorbed and fitting columns.
+Floating-point subtraction is monotone in each operand, so a window of
+min_row rows starts at sorted position p iff s[p + min_row - 1] - s[p] <=
+epsilon: the fits test, and the only starts the cut visits.  A skipped
+column would have created no child, so the guards never see it, and
+children, node counts and output stay the same.
 
-The cut columns are then cut in one batch (``_cut``): read again over the
-extent, _BLOCK at a time, into a contiguous columns x rows block whose
-values and row order are sorted along the rows, and the maximal windows
-of min_row rows or more of the whole block are found in one array pass.
-The batch can be built before the scan, because the set of cut columns
-does not depend on the intent the scan grows: a column of the inherited
-intent has range <= epsilon over a superset of the extent, hence over the
-extent, so it is absorbed and never cut.  The min_col prune only ends the
-scan early, and the windows of the columns past it go unused.  A node
-holds one block of columns at a time, in ``_fits`` and in the cut alike.
-Neither sort need be stable, nor need they order tied values alike: no
-maximal window splits a run of tied values (if s[p-1] == s[p], both starts
-end alike, so p is not maximal; if s[e] == s[e-1], row e fits too; -0.0
-and 0.0 give the same differences), and each window's rows are sorted
-again.  The scan takes each cut column's windows in order.  A window
-whose extent the node has cut before (``cut``) or the registry holds is
-dropped before canonicity reads anything: the former was cut at an
-earlier column e, live, outside the intent and of range <= epsilon over
-it, so canonicity rejects it; the registry drops the latter anyway.
+A window's rows are the extent's rows whose value, as read, lies in
+[s[p], s[e-1]]: one range mask over the column, ascending with the
+extent.  That is exact because no maximal window splits a run of tied
+values (if s[p-1] == s[p], both starts end alike, so p is not maximal; if
+s[e] == s[e-1], row e fits too; -0.0 and 0.0 compare equal and give the
+same differences), so the sort need not be stable and no row order is
+kept.  The cut can share the fits pass, before the scan, because the set
+of cut columns does not depend on the intent the scan grows: a column of
+the inherited intent has range <= epsilon over a superset of the extent,
+hence over the extent, so it is absorbed and never cut.  The min_col
+prune only ends the scan early, and the windows of the columns past it go
+unused.  A node holds one block of at most _BLOCK columns at a time, dead
+ones included (``_read``).  The scan takes each cut column's windows in
+order.  A window whose extent the node has cut before (``cut``) or the
+registry holds is dropped before canonicity reads anything: the former
+was cut at an earlier column e, live, outside the intent and of range <=
+epsilon over it, so canonicity rejects it; the registry drops the latter
+anyway.
 
 The skip is inherited down the tree.  A column that holds no window of
 min_row rows over an extent holds none over any subset of it: where a
@@ -101,56 +101,8 @@ import numpy as np
 from .core import EnumParams
 from .inclose2 import _bits, _decode
 
-_BLOCK = 256  # columns per sort in _fits and _cut
+_BLOCK = 256  # columns per read and sort in _fits
 _GATHER = 5  # see _read
-
-
-def _cut(
-    values: np.ndarray, rows: np.ndarray | slice, a: np.ndarray, ids: np.ndarray, eps: float, min_row: int
-) -> list[list[np.ndarray]]:
-    """Per column of ids, its maximal eps-windows of min_row rows or more over the extent a.
-
-    rows indexes a's rows of values (slice(None) at the root, where a holds
-    every row).  A window is the ascending row ids of a run of the column's
-    sorted values, and a column's windows come in the order of their starts.  The columns are read _BLOCK
-    at a time, as a contiguous columns x rows block that is sorted along
-    its rows, and the windows of the whole block are found in one pass.
-    Only starts p with s[p + min_row - 1] - s[p] <= eps (``_fits``' test)
-    are visited.  The window at p ends one past the last q with s[q] - s[p]
-    <= eps: searchsorted guesses, and the exact end is settled with the
-    subtraction the validity predicate uses, so windows and is_valid never
-    disagree on a tie.  Start 0 is maximal, and p > 0 iff it reaches past
-    its predecessor: s[end - 1] - s[p - 1] > eps.
-    """
-    n = len(a)
-    w = max(n - min_row + 1, 0)  # window starts; none if too few rows
-    at = rows if isinstance(rows, slice) else rows[:, None]
-    out: list[list[np.ndarray]] = []
-    for lo in range(0, len(ids), _BLOCK):
-        chunk = ids[lo : lo + _BLOCK]
-        block = np.ascontiguousarray(values[at, chunk].T)
-        order = np.argsort(block, axis=1)  # unstable: no maximal window splits a tie
-        s = np.sort(block, axis=1)
-        c, p = np.nonzero(s[:, n - w :] - s[:, :w] <= eps)  # by column, then start
-        sp = s[c, p]
-        bounds = np.searchsorted(c, np.arange(len(chunk) + 1)).tolist()
-        e = np.concatenate([np.searchsorted(s[k], sp[i:f] + eps, side="right")
-                            for k, (i, f) in enumerate(zip(bounds, bounds[1:]))])
-        over = s[c, e - 1] - sp > eps
-        under = (e < n) & (s[c, np.minimum(e, n - 1)] - sp <= eps)
-        for i in np.flatnonzero(over | under).tolist():
-            v, q, f = s[c[i]], int(p[i]), int(e[i])
-            while f < n and v[f] - v[q] <= eps:
-                f += 1
-            while f - 1 > q and v[f - 1] - v[q] > eps:
-                f -= 1
-            e[i] = f
-        keep = (p == 0) | (s[c, e - 1] - s[c, p - 1] > eps)
-        windows: list[list[np.ndarray]] = [[] for _ in chunk]
-        for k, q, f in zip(c[keep].tolist(), p[keep].tolist(), e[keep].tolist()):
-            windows[k].append(np.sort(a[order[k, q:f]]))
-        out += windows
-    return out
 
 
 def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps: float) -> bool:
@@ -181,12 +133,13 @@ def _read(
 
     A gather costs several times what a slice does per cell, so the plain
     slice lo:hi is read unless cols are fewer than 1 in _GATHER of its
-    columns.  The slice's other columns are dead, and no test is passed by a
-    dead column (see the module docstring), so both reads give one verdict.
-    rows is slice(None) only at the root, whose columns are all live, so the
-    root reads a plain slice and gathers nothing.
+    columns or it is wider than _BLOCK.  The slice's other columns are dead,
+    and no test is passed by a dead column (see the module docstring), so
+    both reads give one verdict.  rows is slice(None) only at the root,
+    whose columns are all live and read _BLOCK at a time, so the root reads
+    plain slices and gathers nothing.
     """
-    if _GATHER * len(cols) >= hi - lo:
+    if _GATHER * len(cols) >= hi - lo and hi - lo <= _BLOCK:
         return values[rows, lo:hi], np.arange(lo, hi)
     return values[rows[:, None], cols], cols
 
@@ -204,25 +157,63 @@ def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, live: np.ndarray
 
 
 def _fits(
-    values: np.ndarray, rows: np.ndarray | slice, live: np.ndarray, eps: float, min_row: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ids read for the live columns, and per id: is its range <= eps, does a window fit?
+    values: np.ndarray, a: np.ndarray, live: np.ndarray, eps: float, min_row: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, list[np.ndarray]]]:
+    """The ids read for the live columns over the extent a (ascending), per id
+    whether its range is <= eps and whether a window fits, and the windows
+    of each cut column by id.
 
-    Both are read off one sort of the column over rows: the range is s[-1] -
-    s[0], and the window test is s[p + min_row - 1] - s[p] <= eps, the
-    subtraction ``_cut`` cuts with (see the module docstring for why that
-    is exact).  Columns are read _BLOCK live ids at a time.
+    All are read off one sort of the column over a, _BLOCK live ids at a
+    time: the range is s[-1] - s[0], and a window of min_row rows starts at
+    p iff s[p + min_row - 1] - s[p] <= eps.  A column that fits and is not
+    absorbed is cut into its maximal eps-windows of min_row rows or more,
+    in the order of their starts; it holds at least one.  Only the starts
+    that pass the fits test are visited.  The window at p ends one
+    past the last q with s[q] - s[p] <= eps: searchsorted guesses, and the
+    exact end is settled with the subtraction the validity predicate uses,
+    so windows and is_valid never disagree on a tie.  Start 0 is maximal,
+    and p > 0 iff it reaches past its predecessor: s[e - 1] - s[p - 1] >
+    eps.  A window's rows are those of a whose value lies in [s[p], s[e -
+    1]] (see the module docstring for why that is exact).
     """
+    n = len(a)
+    rows = a if n < values.shape[0] else slice(None)  # the root reads values itself
+    w = max(n - min_row + 1, 0)  # window starts; none if too few rows
     ids, absorb, fits = [live[:0]], [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)]
+    windows: dict[int, list[np.ndarray]] = {}
     for lo in range(0, len(live), _BLOCK):
         chunk = live[lo : lo + _BLOCK]
         sub, read = _read(values, rows, chunk, int(chunk[0]), int(chunk[-1]) + 1)
-        s = np.sort(sub, axis=0)
-        w = max(len(s) - min_row + 1, 0)  # window starts; none if too few rows
+        s = np.sort(sub, axis=0)  # unstable: no maximal window splits a tie
+        starts = s[n - w :] - s[:w] <= eps  # start x column: a window of min_row rows at p
+        full, fit = s[-1] - s[0] <= eps, starts.any(axis=0)
         ids.append(read)
-        absorb.append(s[-1] - s[0] <= eps)
-        fits.append((s[len(s) - w :] - s[:w] <= eps).any(axis=0))
-    return np.concatenate(ids), np.concatenate(absorb), np.concatenate(fits)
+        absorb.append(full)
+        fits.append(fit)
+        cols = np.flatnonzero(fit & ~full)  # the block's cut columns
+        if not len(cols):
+            continue
+        c, p = np.nonzero(starts[:, cols].T)  # the cut columns' starts, by column
+        c = cols[c]
+        sp = s[p, c]
+        bounds = [*np.searchsorted(c, cols).tolist(), len(c)]
+        e = np.empty_like(p)
+        for k, i, f in zip(cols.tolist(), bounds, bounds[1:]):
+            e[i:f] = np.searchsorted(s[:, k], sp[i:f] + eps, side="right")
+        over = s[e - 1, c] - sp > eps
+        under = (e < n) & (s[np.minimum(e, n - 1), c] - sp <= eps)
+        for i in np.flatnonzero(over | under).tolist():
+            k, q, f = int(c[i]), int(p[i]), int(e[i])
+            while f < n and s[f, k] - s[q, k] <= eps:
+                f += 1
+            while f - 1 > q and s[f - 1, k] - s[q, k] > eps:
+                f -= 1
+            e[i] = f
+        keep = (p == 0) | (s[e - 1, c] - s[p - 1, c] > eps)
+        for k, q, f in zip(c[keep].tolist(), p[keep].tolist(), e[keep].tolist()):
+            rw = a[(sub[:, k] >= s[q, k]) & (sub[:, k] <= s[f - 1, k])]
+            windows.setdefault(int(read[k]), []).append(rw)
+    return np.concatenate(ids), np.concatenate(absorb), np.concatenate(fits), windows
 
 
 def _mine_cvc(
@@ -234,10 +225,10 @@ def _mine_cvc(
     """Core walk shared by the perturbed bicluster types.
 
     Returns (list of (rows, cols) pairs, node count), no extent twice.  A
-    node cuts all its cut columns in one batch before its scan (``_cut``),
-    and the scan takes their windows column by column.  A child is dropped
-    by the three guards of the module docstring; a window already cut at
-    the node or in the registry is dropped before any read.
+    node cuts its cut columns in the pass that sorts them (``_fits``),
+    before its scan, and the scan takes their windows column by column.  A
+    child is dropped by the three guards of the module docstring; a window
+    already cut at the node or in the registry is dropped before any read.
     A stack entry is (extent, intent mask, start attribute, live columns); a
     node's children share one live array: its own live columns below its
     start attribute, plus those from there that hold a window over its
@@ -261,9 +252,10 @@ def _mine_cvc(
         a, b, y, live = stack.pop()
         nodes += 1
         iy = int(np.searchsorted(live, y))
-        # only the root holds every row, and it reads values itself
-        rows = a if len(a) < n else slice(None)
-        cols, absorb, fits = _fits(values, rows, live[iy:], eps, min_row)
+        # the cut columns' windows are listed before the scan: an intent
+        # column has range <= eps over a superset of the extent, so it is
+        # absorbed, never cut
+        cols, absorb, fits, windows = _fits(values, a, live[iy:], eps, min_row)
         # the node's live columns: the inherited ones < y and those from y
         # that hold a window.  A column that neither joins the intent nor
         # holds a window of min_row rows creates no child, so the scan
@@ -271,10 +263,6 @@ def _mine_cvc(
         # when the intent is already too short to emit, and then fires on
         # the next one scanned
         live = np.concatenate((live[:iy], cols[fits]))
-        # the cut columns are fixed before the scan: an intent column has
-        # range <= eps over a superset of the extent, so it is absorbed
-        cuts = cols[fits & ~absorb]
-        windows = dict(zip(cuts.tolist(), _cut(values, rows, a, cuts, eps, min_row)))
         children: list[tuple[np.ndarray, int]] = []
         cut: set[bytes] = set()  # extents of the windows this node has cut
         pruned = False

@@ -15,7 +15,7 @@ from rinclose import (
 )
 from rinclose.chv import AugmentedMatrix, clique_candidates, extract_chv_from_cvc
 from rinclose.cvc import _mine_cvc
-from test_cvc import _tie_epsilons
+from ties import _tie_epsilons
 
 # ------------------------------------------------------------ augmented matrix
 

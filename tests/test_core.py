@@ -395,18 +395,18 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
     import rinclose.cvc
 
     calls = {"windows": 0, "reads": 0}
-    cut, canonical = rinclose.cvc._cut, rinclose.cvc._canonical_fast
+    fits, canonical = rinclose.cvc._fits, rinclose.cvc._canonical_fast
 
-    def counted_cut(*args):
-        out = cut(*args)
-        calls["windows"] += sum(map(len, out))
+    def counted_fits(*args):
+        out = fits(*args)
+        calls["windows"] += sum(map(len, out[3].values()))
         return out
 
     def counted_canonical(*args):
         calls["reads"] += 1
         return canonical(*args)
 
-    monkeypatch.setattr(rinclose.cvc, "_cut", counted_cut)
+    monkeypatch.setattr(rinclose.cvc, "_fits", counted_fits)
     monkeypatch.setattr(rinclose.cvc, "_canonical_fast", counted_canonical)
     mat, _ = generate(GenConfig(n=120, m=16, num_bics=3, bic_rows=20, bic_cols=6,
                                 overlap=0.2, noise_sigma=0.01, seed=0))

@@ -13,11 +13,11 @@ from rinclose.chv import AugmentedMatrix
 from rinclose.cvc import (
     _canonical_fast,
     _completable,
-    _cut,
     _fits,
     _mine_cvc,
 )
 from rinclose.io import solution_to_json
+from ties import _tie_epsilons
 
 
 def _augmented(values):
@@ -29,12 +29,30 @@ def _augmented(values):
 # ---------------------------------------------------------------- windows
 
 
+def _listed(a, ids, absorb, fits, windows):
+    """_fits' verdicts as each read column's maximal eps-windows over the extent a:
+    an absorbed column holds one, the whole extent (if it has min_row rows), a
+    cut column those _fits lists, and a column that does not fit none."""
+    assert set(windows) <= set(ids[fits & ~absorb].tolist())  # only cut columns list windows
+    out = {}
+    for j, full, fit in zip(ids.tolist(), absorb.tolist(), fits.tolist()):
+        out[j] = [a] if full and fit else windows.get(j, [])
+        assert out[j] or not fit, j  # a cut column holds a window
+    return out
+
+
+def _cut_windows(values, a, live, eps, min_row):
+    """Per live column, its windows over a as one _fits call lists them."""
+    out = _listed(a, *_fits(values, a, live, eps, min_row))
+    return [out[j] for j in live.tolist()]
+
+
 def _window_rows(rows, eps):
     """Maximal eps-windows of (row-id, value) pairs, cut the way the kernel cuts them."""
     ids = np.array([r for r, _ in rows], dtype=np.intp)
     values = np.zeros((ids.max() + 1, 1))
     values[ids, 0] = [v for _, v in rows]
-    return [w.tolist() for w in _cut(values, ids, ids, np.zeros(1, dtype=np.intp), eps, 1)[0]]
+    return [w.tolist() for w in _cut_windows(values, ids, np.zeros(1, dtype=np.intp), eps, 1)[0]]
 
 
 def test_windows_all_equal_values():
@@ -74,14 +92,6 @@ def test_windows_are_never_duplicated():
             assert not any(set(a) < set(b) for b in keys)
 
 
-def _tie_epsilons(values, rng):
-    """An actual positive difference of two entries and its two float neighbours."""
-    flat = np.asarray(values, dtype=float).ravel()
-    diffs = np.abs(flat[:, None] - flat[None, :])
-    d = float(rng.choice(diffs[diffs > 0]))
-    return d, float(np.nextafter(d, 0.0)), float(np.nextafter(d, np.inf))
-
-
 def _scanned_windows(sv, eps):
     """Maximal eps-windows of sorted sv, listed by brute force: each start's
     end found by scanning, kept when it reaches past its predecessor's."""
@@ -112,25 +122,27 @@ def test_fits_agrees_with_the_windows_at_ties():
     for _ in range(20):
         n = int(rng.integers(1, 12))
         cols = np.sort(rng.integers(0, 30, size=(n, 300)) / 10, axis=0)
-        spread = np.arange(0, 300, 7)  # a spread of columns keeps it quick
+        a = np.arange(n)
         for eps in _tie_epsilons(cols[:, 0], rng) if n > 1 else (0.1,):
             scanned = [_scanned_windows(cols[:, j], eps) for j in range(cols.shape[1])]
             for min_row in range(1, n + 1):
                 wide = [[(p, e) for p, e in w if e - p >= min_row] for w in scanned]
-                # the columns are sorted, so window p:e holds rows p..e-1
-                cut = _cut(cols, slice(None), np.arange(n), spread, eps, min_row)
-                for j, got in zip(spread.tolist(), cut):
-                    assert [w.tolist() for w in got] == [list(range(p, e)) for p, e in wide[j]], (
-                        eps, min_row, j)
-                rows = rng.permutation(n)
-                block = cols[rows]
-                ids, absorb, fits = _fits(cols, rows, np.arange(300), eps, min_row)
+                # the rows are read in random order: row r of block is row
+                # perm[r] of the sorted columns, where window p:e holds rows p..e-1
+                perm = rng.permutation(n)
+                block = cols[perm]
+                ids, absorb, fits, windows = _fits(block, a, np.arange(300), eps, min_row)
                 assert (ids == np.arange(300)).all()
                 assert (absorb == (block.max(axis=0) - block.min(axis=0) <= eps)).all()
                 assert (fits == np.array([bool(w) for w in wide])).all(), (eps, min_row)
+                listed = _listed(a, ids, absorb, fits, windows)
+                for j, got in listed.items():
+                    assert [sorted(perm[w].tolist()) for w in got] == [
+                        list(range(p, e)) for p, e in wide[j]], (eps, min_row, j)
             # fewer rows than min_row: no column holds a window
-            assert not _fits(cols, slice(None), np.arange(300), eps, n + 1)[2].any()
-            assert _cut(cols, slice(None), np.arange(n), spread, eps, n + 1) == [[]] * len(spread)
+            ids, absorb, fits, windows = _fits(cols, a, np.arange(300), eps, n + 1)
+            assert not fits.any()
+            assert windows == {}
 
 
 def test_windows_do_not_depend_on_the_order_of_tied_rows():
@@ -149,16 +161,17 @@ def test_windows_do_not_depend_on_the_order_of_tied_rows():
             wide = _window_rows(list(enumerate(vals)), eps)
             for min_row in (1, 2, 3):
                 rows = rng.permutation(n)  # ties read in random order
-                got = _cut(vals[:, None], rows, rows, np.zeros(1, dtype=np.intp), eps, min_row)[0]
-                assert [w.tolist() for w in got] == [w for w in wide if len(w) >= min_row], (
+                got = _cut_windows(vals[rows, None], np.arange(n), np.zeros(1, dtype=np.intp), eps, min_row)[0]
+                assert [sorted(rows[w].tolist()) for w in got] == [w for w in wide if len(w) >= min_row], (
                     vals, eps, min_row)
 
 
 @pytest.mark.parametrize("block", [1, 3, 256])
 def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
-    # columns that hold no window, one, or several, cut in blocks of every
-    # size, read from a row subset, from the root and from an augmented
-    # matrix; each column's windows are the brute-force scan's
+    # columns that hold no window, one, or several, sorted in blocks of
+    # every size, read from a row subset, from the root and from an
+    # augmented matrix; each column read is judged by its verdict against
+    # the brute-force scan
     import rinclose.cvc
 
     monkeypatch.setattr(rinclose.cvc, "_BLOCK", block)
@@ -176,52 +189,66 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
                 for mat in sources:
                     ids = np.sort(rng.choice(mat.shape[1], size=min(mat.shape[1], 11), replace=False))
                     subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-                    for rows, a in ((slice(None), np.arange(n)), (subset, subset)):
-                        cut = _cut(mat, rows, a, ids, eps, min_row)
-                        assert len(cut) == len(ids)
-                        for j, got in zip(ids.tolist(), cut):
-                            assert all(w.dtype == np.intp for w in got)
-                            assert [w.tolist() for w in got] == _brute_windows(mat, a, j, eps, min_row)
-                            counts.add(min(len(got), 2))
+                    for a in (np.arange(n), subset):
+                        # an extent of every row is the root's: it reads
+                        # slice(None), and every column is live there
+                        live = ids if len(a) < n else np.arange(mat.shape[1])
+                        read, absorb, fits, windows = _fits(mat, a, live, eps, min_row)
+                        assert set(live.tolist()) <= set(read.tolist())
+                        assert set(windows) == set(read[fits & ~absorb].tolist())
+                        for j, full, fit in zip(read.tolist(), absorb, fits):
+                            got = windows.get(j, [])
+                            brute = _brute_windows(mat, a, j, eps, min_row)
+                            if full:  # absorbed: the one window is the whole extent
+                                assert got == [] and fit == (len(a) >= min_row)
+                                assert brute == ([a.tolist()] if fit else [])
+                            elif fit:  # cut: the listed windows are the brute-force ones
+                                assert all(w.dtype == np.intp for w in got)
+                                assert [w.tolist() for w in got] == brute
+                            else:  # neither: no window of min_row rows
+                                assert got == [] and brute == []
+                            counts.add(min(len(brute), 2))
     assert counts == {0, 1, 2}, counts
 
 
 def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
-    # a node cuts its columns _BLOCK at a time; on chv the root of this
-    # 20x26 matrix cuts more than 256 of its 325 pair columns, so every
-    # block size below leaves a seam there.  No read of the cut may hold
+    # a node sorts and cuts its columns _BLOCK at a time; on chv the root
+    # of this 20x26 matrix reads all 325 of its pair columns, so every
+    # block size below leaves a seam there.  No read _fits makes may hold
     # more than _BLOCK columns (a node holds one block of pair columns at a
     # time), and node counts and output bytes must not depend on the size
-    import sys
-
     import rinclose.chv
     import rinclose.cvc
 
-    reads, cuts = [], []
-    mine, cut = rinclose.cvc._mine_cvc, rinclose.cvc._cut
+    reads, fitted, inside = [], [], []
+    mine, fits = rinclose.cvc._mine_cvc, rinclose.cvc._fits
 
     class Recorded:
-        """The kernel's matrix, recording the width of every read the cut makes."""
+        """The kernel's matrix, recording the width of every read _fits makes."""
 
         def __init__(self, inner):
             self.inner, self.shape = inner, inner.shape
 
         def __getitem__(self, key):
             out = self.inner[key]
-            if sys._getframe(1).f_code.co_name == "_cut":
+            if inside:
                 reads.append(out.shape[1])
             return out
 
     def recorded_mine(values, *args):
         return mine(Recorded(values), *args)
 
-    def counted_cut(values, rows, a, ids, eps, min_row):
-        cuts.append(len(ids))
-        return cut(values, rows, a, ids, eps, min_row)
+    def counted_fits(values, a, live, eps, min_row):
+        fitted.append(len(live))
+        inside.append(True)
+        try:
+            return fits(values, a, live, eps, min_row)
+        finally:
+            inside.pop()
 
     for module in (rinclose.cvc, rinclose.chv):
         monkeypatch.setattr(module, "_mine_cvc", recorded_mine)
-    monkeypatch.setattr(rinclose.cvc, "_cut", counted_cut)
+    monkeypatch.setattr(rinclose.cvc, "_fits", counted_fits)
     rng = np.random.default_rng(0)
     cases = [(rng.integers(0, 30, size=(60, 20)) / 10, EnumParams(0.4, 5, 2, "cvc")),
              (rng.integers(0, 6, size=(20, 26)).astype(float), EnumParams(1.0, 7, 3, "chv"))]
@@ -230,14 +257,14 @@ def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
         for block in (1, 7, 256):
             monkeypatch.setattr(rinclose.cvc, "_BLOCK", block)
             reads.clear()
-            cuts.clear()
+            fitted.clear()
             sol = enumerate_biclusters(values, params)
             runs.add((sol.stats.nodes_expanded, solution_to_json(sol)))
             assert reads and max(reads) <= block, (params.bic_type, block)
-            assert sum(reads) == sum(cuts)
+            assert sum(reads) >= sum(fitted)
         assert len(runs) == 1, params.bic_type
         assert len(sol) > 0
-    assert max(cuts) > 256, max(cuts)
+    assert max(fitted) > 256, max(fitted)
 
 
 # ---------------------------------------------------------------- canonicity
