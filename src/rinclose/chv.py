@@ -20,7 +20,10 @@ holding every pairwise column difference.  There a coherent column set shows
 up as constant-column structure; the pipeline is
 
 1. index the augmented matrix (``AugmentedMatrix``): a read subtracts only
-   the cells it returns, so the n x m(m-1)/2 matrix is never stored,
+   the cells it returns, so the n x m(m-1)/2 matrix is never stored, and
+   screen its columns in float32 (``_screen``), keeping every one the root
+   may absorb or cut: the walk's root reads only those, and its float64
+   tests decide every verdict,
 2. mine it for maximal constant-column biclusters with the same epsilon
    (min_col mapped to the pair count c*(c-1)/2, a sound prune), and
 3. for each of those, map its intent back to original columns, connect the
@@ -52,7 +55,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import EnumParams
-from .cvc import _completable, _mine_cvc
+from .cvc import _BLOCK, _completable, _mine_cvc
 from .inclose2 import _bits, _mine_groups
 
 
@@ -73,7 +76,8 @@ class AugmentedMatrix:
 
     Column k is d_ij - d_il for the pair (j, l) = ``pairs[k]``, j < l, pairs in
     lexicographic order (0,1), (0,2), ..., (0,m-1), (1,2), ...  It serves the
-    kernel's reads: [:, lo:hi], [rows, lo:hi], [rows[:, None], ids], [:, k], [rows, k].
+    kernel's reads: [:, lo:hi], [rows, lo:hi], [rows[:, None], ids], [:, k],
+    [rows, k] and [:, ids].
     """
 
     def __init__(self, values: np.ndarray) -> None:
@@ -186,13 +190,59 @@ def extract_chv_from_cvc(
     return kept
 
 
+def _screen(values: np.ndarray, aug: AugmentedMatrix, eps: float, min_row: int) -> np.ndarray:
+    """Ascending ids of the pair columns whose float32 copy holds a window of
+    min_row rows within thr: a superset of the columns the float64 root
+    absorbs or finds a window in (``cvc._fits``).
+
+    A float32 copy of values gives each pair column (j, l), up to _BLOCK
+    pairs of one j at a time; it is sorted and kept if s[p + min_row - 1] -
+    s[p] <= thr for some p.  Why no column the root needs is lost:
+
+    * Let A = max|values|.  The two casts to float32, the float32
+      subtraction and the kernel's float64 one err by at most 2^-24 (2^-53)
+      of their operands, plus 2^-150 for a subnormal, so a cell's float32
+      difference y is within e = 2^-21 A + 2^-140 of the kernel's
+      x = fl64(v_j - v_l).
+    * If the float64 test passes on rows P, |P| = min_row, the x of P span
+      at most eps(1 + 2^-52), so their y span at most eps(1 + 2^-52) + 2e,
+      and so does the run of min_row sorted y from the least of them.
+    * thr is the float32 above eps(1 + 2^-20) + 4e, whose slack covers its
+      own float64 rounding; rounding is monotone, so that run passes.
+    * An absorbed column is a window of all n >= min_row rows.  With
+      n < min_row nothing is kept, and the root emits nothing either way.
+
+    If A or the bound exceeds a float32 max / 8, float32 cannot hold the
+    values, their differences or thr, and every column is kept.
+    """
+    n = len(values)
+    w = max(n - min_row + 1, 0)
+    big = float(np.finfo(np.float32).max) / 8
+    top = max(float(values.max()), -float(values.min()))
+    bound = eps * (1 + 2.0**-20) + 4 * (2.0**-21 * top + 2.0**-140)
+    if top > big or bound > big:
+        return np.arange(aug.shape[1])
+    thr = np.nextafter(np.float32(bound), np.float32(np.inf))
+    t = np.ascontiguousarray(values.T, dtype=np.float32)  # one row per column
+    keep = []
+    k = 0  # id of the pair (j, lo), pairs in lexicographic order
+    for j in range(len(t) - 1):
+        for lo in range(j + 1, len(t), _BLOCK):
+            s = t[j] - t[lo : lo + _BLOCK]  # the pairs (j, lo), (j, lo + 1), ...
+            s.sort(axis=1)
+            keep.append(k + np.flatnonzero((s[:, n - w :] - s[:, :w] <= thr).any(axis=1)))
+            k += len(s)
+    return np.concatenate(keep)
+
+
 def _chv(values: np.ndarray, params: EnumParams):
-    """Miner for ``chv``: walk the augmented matrix, then extract from each result."""
+    """Miner for ``chv``: screen and walk the augmented matrix, then extract from each result."""
     if values.shape[1] < 2:
         return [], 0
     aug = AugmentedMatrix(values)
     min_pairs = params.min_col * (params.min_col - 1) // 2
-    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs)
+    root = _screen(values, aug, params.epsilon, params.min_row)
+    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs, root)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for bic in pairs:
         out += extract_chv_from_cvc(bic, aug, params.epsilon, params.min_col)

@@ -1,7 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rinclose import (
     EnumParams,
@@ -13,8 +17,8 @@ from rinclose import (
     oracle_enumerate,
     transpose,
 )
-from rinclose.chv import AugmentedMatrix, clique_candidates, extract_chv_from_cvc
-from rinclose.cvc import _mine_cvc
+from rinclose.chv import AugmentedMatrix, _screen, clique_candidates, extract_chv_from_cvc
+from rinclose.cvc import _fits, _mine_cvc
 from ties import _tie_epsilons
 
 # ------------------------------------------------------------ augmented matrix
@@ -46,6 +50,7 @@ def test_every_index_form_computes_the_pair_differences():
         (aug[rows[:, None], ids], full[rows[:, None], ids]),
         (aug[:, 9], full[:, 9]),
         (aug[rows, 9], full[rows, 9]),
+        (aug[:, ids], full[:, ids]),
     ]
     for got, want in reads:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -93,6 +98,87 @@ def test_both_chv_types_reject_overflowing_differences():
 def test_constant_rows_give_zero_augmented():
     mat = np.array([[3.0, 3.0, 3.0], [7.0, 7.0, 7.0]])
     assert not _dense(AugmentedMatrix(mat)).any()
+
+
+# ------------------------------------------------------------ root screen
+
+
+@st.composite
+def screens(draw):
+    """A matrix, epsilon and min_row for the root screen: k/10 decimals, offset
+    by up to 1e7 or scaled from subnormal up to just under the float32 guard,
+    with epsilon on an exact window range of a pair column or a float
+    neighbour of it (a range of 0 gives a fixed epsilon instead)."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    vals = draw(arrays(np.int64, (n, m), elements=st.integers(0, 40))) / 10
+    kind = draw(st.sampled_from(["decimal", "offset", "scaled"]))
+    if kind == "offset":
+        vals = vals + draw(st.floats(-1e7, 1e7))
+    elif kind == "scaled":
+        # float32's subnormals, where its rounding error is absolute, drawn more often
+        vals = vals * 10.0 ** draw(st.integers(-315, 36) | st.integers(-46, -37))
+    aug = AugmentedMatrix(vals)
+    col = aug[:, draw(st.integers(0, aug.shape[1] - 1))]
+    if col.min() < col.max():
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        eps = draw(st.sampled_from(_tie_epsilons(col, rng)))
+    else:
+        eps = 0.25
+    return vals, aug, eps, draw(st.integers(1, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(screens())
+def test_the_screen_keeps_every_column_the_root_needs(case):
+    # the float64 root is every row over every pair column; each column it
+    # absorbs or finds a window in must survive the float32 screen
+    vals, aug, eps, min_row = case
+    ids, absorb, fits, _ = _fits(aug, np.arange(len(vals)), np.arange(aug.shape[1]), eps, min_row)
+    kept = _screen(vals, aug, eps, min_row)
+    assert np.all(np.diff(kept) > 0)
+    assert set(ids[absorb | fits].tolist()) <= set(kept.tolist())
+
+
+def test_the_screen_keeps_the_same_columns_in_blocks_of_every_size(monkeypatch):
+    # a left column's pairs are screened _BLOCK at a time; ids must run on
+    # across every seam, and the screen must drop columns here
+    import rinclose.chv
+
+    rng = np.random.default_rng(73)
+    vals = 1e5 + rng.integers(0, 400, size=(30, 12)) / 10
+    aug = AugmentedMatrix(vals)
+    kept = _screen(vals, aug, 0.3, 4)
+    assert 0 < len(kept) < aug.shape[1]
+    for block in (1, 2, 5):
+        monkeypatch.setattr(rinclose.chv, "_BLOCK", block)
+        assert np.array_equal(_screen(vals, aug, 0.3, 4), kept), block
+
+
+def test_chv_runs_unscreened_where_float32_cannot_hold_the_values(monkeypatch):
+    # values near 1e300 overflow float32, yet their pair differences are
+    # finite: the screen keeps every column, casts nothing and warns nothing
+    import rinclose.chv
+
+    roots = []
+
+    def recording(values, eps, min_row, min_col, root):
+        roots.append(root)
+        return _mine_cvc(values, eps, min_row, min_col, root)
+
+    monkeypatch.setattr(rinclose.chv, "_mine_cvc", recording)
+    rng = np.random.default_rng(71)
+    mat = 1e300 * (1 + rng.integers(0, 30, size=(8, 5)) / 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for eps in _tie_epsilons(mat, rng):
+            params = EnumParams(eps, 2, 2, "chv")
+            found = enumerate_biclusters(mat, params)
+            assert len(found) > 0
+            assert found.biclusters == oracle_enumerate(mat, params).biclusters
+        # so does an epsilon above the guard on small values
+        small = rng.integers(0, 30, size=(8, 5)) / 10
+        assert np.array_equal(_screen(small, AugmentedMatrix(small), 1e38, 2), np.arange(10))
+    assert len(roots) == 3 and all(np.array_equal(r, np.arange(10)) for r in roots)
 
 
 # ------------------------------------------------------------ perfect variant

@@ -391,11 +391,19 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
     # column scans of this walk find no eps-window of min_row rows, so the
     # kernel's per-node prefilter skips most columns; and most windows repeat
     # rows that an earlier column of the same node has cut, so they are
-    # dropped before canonicity reads them; nodes and bytes must not move
+    # dropped before canonicity reads them; and the root's float32 screen
+    # keeps only 45 of the 120 pair columns; nodes and bytes must not move
+    import rinclose.chv
     import rinclose.cvc
 
-    calls = {"windows": 0, "reads": 0}
+    calls = {"windows": 0, "reads": 0, "screened": []}
     fits, canonical = rinclose.cvc._fits, rinclose.cvc._canonical_fast
+    screen = rinclose.chv._screen
+
+    def counted_screen(values, aug, eps, min_row):
+        out = screen(values, aug, eps, min_row)
+        calls["screened"].append((len(out), aug.shape[1]))
+        return out
 
     def counted_fits(*args):
         out = fits(*args)
@@ -408,6 +416,7 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
 
     monkeypatch.setattr(rinclose.cvc, "_fits", counted_fits)
     monkeypatch.setattr(rinclose.cvc, "_canonical_fast", counted_canonical)
+    monkeypatch.setattr(rinclose.chv, "_screen", counted_screen)
     mat, _ = generate(GenConfig(n=120, m=16, num_bics=3, bic_rows=20, bic_cols=6,
                                 overlap=0.2, noise_sigma=0.01, seed=0))
     sol = enumerate_biclusters(mat, EnumParams(0.1, 12, 4, "chv"))
@@ -415,6 +424,7 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
     assert (sol.stats.nodes_expanded, len(sol), digest) == (
         13, 3, "777c08aadd5912d885e0954d2f695f8e3e7babed458b5dbe91ebaee6671a179d")
     assert 0 < calls["reads"] < calls["windows"], calls
+    assert calls["screened"] == [(45, 120)], calls
 
 
 def test_cvc_pins_a_walk_on_sparse_live_columns(monkeypatch):

@@ -175,6 +175,16 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
     import rinclose.cvc
 
     monkeypatch.setattr(rinclose.cvc, "_BLOCK", block)
+    gathered = []  # does a root read gather its columns?
+    plain = rinclose.cvc._read
+
+    def recording(values, rows, cols, lo, hi):
+        out = plain(values, rows, cols, lo, hi)
+        if isinstance(rows, slice):
+            gathered.append(out[1] is cols)
+        return out
+
+    monkeypatch.setattr(rinclose.cvc, "_read", recording)
     rng = np.random.default_rng(67)
     counts = set()
     for _ in range(30):
@@ -188,11 +198,12 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
             for min_row in (1, 2, 3):
                 for mat in sources:
                     ids = np.sort(rng.choice(mat.shape[1], size=min(mat.shape[1], 11), replace=False))
+                    sparse = np.sort(rng.choice(mat.shape[1], size=3, replace=False))
                     subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-                    for a in (np.arange(n), subset):
-                        # an extent of every row is the root's: it reads
-                        # slice(None), and every column is live there
-                        live = ids if len(a) < n else np.arange(mat.shape[1])
+                    # an extent of every row is the root's: it reads
+                    # slice(None), over every column or over the few a
+                    # screen keeps, gathered where they are sparse
+                    for a, live in ((np.arange(n), np.arange(mat.shape[1])), (np.arange(n), sparse), (subset, ids)):
                         read, absorb, fits, windows = _fits(mat, a, live, eps, min_row)
                         assert set(live.tolist()) <= set(read.tolist())
                         assert set(windows) == set(read[fits & ~absorb].tolist())
@@ -209,6 +220,7 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
                                 assert got == [] and brute == []
                             counts.add(min(len(brute), 2))
     assert counts == {0, 1, 2}, counts
+    assert any(gathered) == (block > 1) and not all(gathered), block
 
 
 def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
