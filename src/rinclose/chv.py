@@ -19,11 +19,15 @@ could reach 2*epsilon), so the problem is lifted to the augmented matrix
 holding every pairwise column difference.  There a coherent column set shows
 up as constant-column structure; the pipeline is
 
-1. index the augmented matrix (``AugmentedMatrix``): a read subtracts only
-   the cells it returns, so the n x m(m-1)/2 matrix is never stored, and
-   screen its columns in float32 (``_screen``), keeping every one the root
-   may absorb or cut: the walk's root reads only those, and its float64
-   tests decide every verdict,
+1. screen the pair columns in float32 (``_screen``), keeping every one that
+   holds an epsilon-window of min_row rows over all rows, and index only
+   those (``AugmentedMatrix``): a read subtracts only the cells it returns,
+   so the n x m(m-1)/2 matrix is never stored.  Walking only the kept pairs
+   is exact: a dropped pair holds no window of min_row rows over all rows,
+   so none over any extent, and no node absorbs it, cuts it or reads it in
+   its canonicity test (which reads live columns only).  Only the min_col
+   prune, which counts the columns after the one scanned, fires sooner,
+   and only at nodes that could emit nothing,
 2. mine it for maximal constant-column biclusters with the same epsilon
    (min_col mapped to the pair count c*(c-1)/2, a sound prune), and
 3. for each of those, map its intent back to original columns, connect the
@@ -72,19 +76,19 @@ def _check_differences(values: np.ndarray) -> None:
 
 
 class AugmentedMatrix:
-    """All pairwise column differences of a matrix, computed cell by cell on read.
+    """Differences of chosen column pairs of a matrix, computed cell by cell on read.
 
-    Column k is d_ij - d_il for the pair (j, l) = ``pairs[k]``, j < l, pairs in
-    lexicographic order (0,1), (0,2), ..., (0,m-1), (1,2), ...  It serves the
-    kernel's reads: [:, lo:hi], [rows, lo:hi], [rows[:, None], ids], [:, k],
-    [rows, k] and [:, ids].
+    Column k is d_ij - d_il for the pair (j, l) = ``pairs[k]`` = (left[k],
+    right[k]), j < l; ``_chv`` passes the pairs its screen keeps, in
+    lexicographic order.  It serves the reads of the kernel and
+    ``_completable``: [:, lo:hi], [rows, lo:hi], [rows[:, None], ids],
+    [:, k] and [rows, k].
     """
 
-    def __init__(self, values: np.ndarray) -> None:
+    def __init__(self, values: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
         _check_differences(values)
-        self.values = values
-        self.left, self.right = np.triu_indices(values.shape[1], 1)
-        self.pairs = tuple(zip(self.left.tolist(), self.right.tolist()))
+        self.values, self.left, self.right = values, left, right
+        self.pairs = tuple(zip(left.tolist(), right.tolist()))
         self.shape = (len(values), len(self.pairs))
 
     def __getitem__(self, key) -> np.ndarray:
@@ -190,10 +194,11 @@ def extract_chv_from_cvc(
     return kept
 
 
-def _screen(values: np.ndarray, aug: AugmentedMatrix, eps: float, min_row: int) -> np.ndarray:
-    """Ascending ids of the pair columns whose float32 copy holds a window of
-    min_row rows within thr: a superset of the columns the float64 root
-    absorbs or finds a window in (``cvc._fits``).
+def _screen(values: np.ndarray, eps: float, min_row: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (left, right) of columns, in lexicographic order, whose
+    float32 difference holds a window of min_row rows within thr: a superset
+    of the pair columns the float64 root absorbs or finds a window in
+    (``cvc._fits``).
 
     A float32 copy of values gives each pair column (j, l), up to _BLOCK
     pairs of one j at a time; it is sorted and kept if s[p + min_row - 1] -
@@ -210,39 +215,42 @@ def _screen(values: np.ndarray, aug: AugmentedMatrix, eps: float, min_row: int) 
     * thr is the float32 above eps(1 + 2^-20) + 4e, whose slack covers its
       own float64 rounding; rounding is monotone, so that run passes.
     * An absorbed column is a window of all n >= min_row rows.  With
-      n < min_row nothing is kept, and the root emits nothing either way.
+      n < min_row no pair is kept, and the root would emit nothing.
 
     If A or the bound exceeds a float32 max / 8, float32 cannot hold the
-    values, their differences or thr, and every column is kept.
+    values, their differences or thr, and every pair is kept.
     """
-    n = len(values)
+    n, m = values.shape
+    left, right = np.triu_indices(m, 1)
     w = max(n - min_row + 1, 0)
     big = float(np.finfo(np.float32).max) / 8
     top = max(float(values.max()), -float(values.min()))
     bound = eps * (1 + 2.0**-20) + 4 * (2.0**-21 * top + 2.0**-140)
     if top > big or bound > big:
-        return np.arange(aug.shape[1])
+        return left, right
     thr = np.nextafter(np.float32(bound), np.float32(np.inf))
     t = np.ascontiguousarray(values.T, dtype=np.float32)  # one row per column
-    keep = []
-    k = 0  # id of the pair (j, lo), pairs in lexicographic order
-    for j in range(len(t) - 1):
-        for lo in range(j + 1, len(t), _BLOCK):
+    keep = np.zeros(len(left), dtype=bool)
+    k = 0  # index of the pair (j, lo), pairs in lexicographic order
+    for j in range(m - 1):
+        for lo in range(j + 1, m, _BLOCK):
             s = t[j] - t[lo : lo + _BLOCK]  # the pairs (j, lo), (j, lo + 1), ...
             s.sort(axis=1)
-            keep.append(k + np.flatnonzero((s[:, n - w :] - s[:, :w] <= thr).any(axis=1)))
+            keep[k : k + len(s)] = (s[:, n - w :] - s[:, :w] <= thr).any(axis=1)
             k += len(s)
-    return np.concatenate(keep)
+    return left[keep], right[keep]
 
 
 def _chv(values: np.ndarray, params: EnumParams):
     """Miner for ``chv``: screen and walk the augmented matrix, then extract from each result."""
-    if values.shape[1] < 2:
+    # differences that overflow need values above the float32 guard, so the
+    # screen keeps every pair and AugmentedMatrix rejects them
+    left, right = _screen(values, params.epsilon, params.min_row)
+    if not len(left):  # fewer than two columns, or no pair holds a window
         return [], 0
-    aug = AugmentedMatrix(values)
+    aug = AugmentedMatrix(values, left, right)
     min_pairs = params.min_col * (params.min_col - 1) // 2
-    root = _screen(values, aug, params.epsilon, params.min_row)
-    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs, root)
+    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for bic in pairs:
         out += extract_chv_from_cvc(bic, aug, params.epsilon, params.min_col)

@@ -73,18 +73,15 @@ extent's sorted order too, since the min_row-th value from v can only be
 lower there and subtraction is monotone.  So each stack entry carries its
 live columns, the ascending ids of the columns that may still hold a
 window: those its parent inherited below the parent's start attribute,
-and those from there that hold one over the parent's extent.  The root
-starts with every column, or with any superset its caller passes of the
-columns that hold a window of min_row rows over all rows (``chv._screen``):
-an absorbed column holds one if there are min_row rows, and with fewer
-the root emits nothing and has no child.  A node sorts only its live
-columns, and a child's canonicity test reads only the live columns below
-its cut column: a column with range <= epsilon over the child holds a
-window of the child's min_row or more rows, so it was live at every
-ancestor.  A dead column passes neither test, so a read may slice dead
-columns in with the live ones where those are dense, and the verdicts do
-not change (``_read``).  On the augmented matrix of ``chv`` most of the
-m(m-1)/2 columns die below the root.
+and those from there that hold one over the parent's extent (the root
+starts with every column).  A node sorts only its live columns, and a
+child's canonicity test reads only the live columns below its cut column:
+a column with range <= epsilon over the child holds a window of the
+child's min_row or more rows, so it was live at every ancestor.  A dead
+column passes neither test, so a read may slice dead columns in with the
+live ones where those are dense, and the verdicts do not change
+(``_read``).  On the augmented matrix of ``chv`` most pair columns die
+below the root.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
 matrix, ``cvr`` on the transpose (the dispatch table's transpose rule) and
@@ -139,13 +136,11 @@ def _read(
     columns or it is wider than _BLOCK.  The slice's other columns are dead,
     and no test is passed by a dead column (see the module docstring), so
     both reads give one verdict.  rows is slice(None) only at the root,
-    which gathers values[:, cols] when its live set is sparse (``chv``
-    screens its root's columns).
+    whose columns are all live and read _BLOCK at a time, so the root reads
+    plain slices and gathers nothing.
     """
     if _GATHER * len(cols) >= hi - lo and hi - lo <= _BLOCK:
         return values[rows, lo:hi], np.arange(lo, hi)
-    if isinstance(rows, slice):
-        return values[:, cols], cols
     return values[rows[:, None], cols], cols
 
 
@@ -222,11 +217,7 @@ def _fits(
 
 
 def _mine_cvc(
-    values: np.ndarray,
-    eps: float,
-    min_row: int,
-    min_col: int,
-    root: np.ndarray | None = None,
+    values: np.ndarray, eps: float, min_row: int, min_col: int
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """Core walk shared by the perturbed bicluster types.
 
@@ -238,8 +229,7 @@ def _mine_cvc(
     A stack entry is (extent, intent mask, start attribute, live columns); a
     node's children share one live array: its own live columns below its
     start attribute, plus those from there that hold a window over its
-    extent.  root holds the root's live ids, ascending, every column by
-    default (see the module docstring).
+    extent.
     """
     n, m = values.shape
     # extents of the children created so far; an extent that fails the
@@ -251,11 +241,9 @@ def _mine_cvc(
     intents: list[int] = []  # emitted intent masks, decoded when the walk ends
     nodes = 0
     # stack entries: (extent row ids sorted, inherited intent mask, start
-    # attr, live column ids sorted)
-    if root is None:
-        root = np.arange(m, dtype=np.intp)
+    # attr, live column ids sorted); the root starts with every column live
     stack: list[tuple[np.ndarray, int, int, np.ndarray]] = [
-        (np.arange(n, dtype=np.intp), 0, 0, root)
+        (np.arange(n, dtype=np.intp), 0, 0, np.arange(m, dtype=np.intp))
     ]
     while stack:
         a, b, y, live = stack.pop()

@@ -95,7 +95,7 @@ def campaign():
 
 def test_worked_example_reproduction(tmp_path, capsys):
     with verdict("worked-example reproduction"):
-        aug = AugmentedMatrix(TABLE1)
+        aug = AugmentedMatrix(TABLE1, *np.triu_indices(5, 1))
         assert aug[:, 0 : aug.shape[1]].tobytes() == TABLE2.tobytes()
 
         # the two quoted shifting biclusters arise as the clique candidates

@@ -17,11 +17,16 @@ from rinclose import (
     oracle_enumerate,
     transpose,
 )
-from rinclose.chv import AugmentedMatrix, _screen, clique_candidates, extract_chv_from_cvc
+from rinclose.chv import AugmentedMatrix, _chv, _screen, clique_candidates, extract_chv_from_cvc
 from rinclose.cvc import _fits, _mine_cvc
 from ties import _tie_epsilons
 
 # ------------------------------------------------------------ augmented matrix
+
+
+def _all_pairs(values):
+    """The augmented matrix over every pair of columns, unscreened."""
+    return AugmentedMatrix(values, *np.triu_indices(values.shape[1], 1))
 
 
 def _dense(aug):
@@ -29,7 +34,7 @@ def _dense(aug):
 
 
 def test_augmented_matrix_of_running_example(table1, table2):
-    aug = AugmentedMatrix(table1)
+    aug = _all_pairs(table1)
     assert aug.shape == (4, 10)
     assert np.array_equal(_dense(aug), table2)
     assert list(_dense(aug)[0]) == [-1, -1, 0, -5, 0, 1, -4, 1, -4, -5]
@@ -40,7 +45,7 @@ def test_every_index_form_computes_the_pair_differences():
     # and _completable read must give the bytes of values[:, j] - values[:, l]
     rng = np.random.default_rng(7)
     vals = rng.integers(0, 30, size=(9, 6)) / 10
-    aug = AugmentedMatrix(vals)
+    aug = _all_pairs(vals)
     full = np.stack([vals[:, j] - vals[:, l] for j, l in aug.pairs], axis=1)
     rows = np.array([0, 3, 4, 8], dtype=np.intp)
     ids = np.array([1, 6, 7, 14], dtype=np.intp)
@@ -50,7 +55,6 @@ def test_every_index_form_computes_the_pair_differences():
         (aug[rows[:, None], ids], full[rows[:, None], ids]),
         (aug[:, 9], full[:, 9]),
         (aug[rows, 9], full[rows, 9]),
-        (aug[:, ids], full[:, ids]),
     ]
     for got, want in reads:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -72,7 +76,7 @@ def test_chv_never_holds_the_whole_augmented_matrix():
 
 
 def test_pair_bijection():
-    aug = AugmentedMatrix(np.zeros((1, 5)))
+    aug = _all_pairs(np.zeros((1, 5)))
     assert aug.pairs == (
         (0, 1), (0, 2), (0, 3), (0, 4),
         (1, 2), (1, 3), (1, 4),
@@ -83,7 +87,7 @@ def test_pair_bijection():
 
 def test_augmented_rejects_overflowing_differences():
     with pytest.raises(ValueError, match="non-finite"):
-        AugmentedMatrix(np.array([[1e308, -1e308]]))
+        _all_pairs(np.array([[1e308, -1e308]]))
 
 
 def test_both_chv_types_reject_overflowing_differences():
@@ -97,7 +101,7 @@ def test_both_chv_types_reject_overflowing_differences():
 
 def test_constant_rows_give_zero_augmented():
     mat = np.array([[3.0, 3.0, 3.0], [7.0, 7.0, 7.0]])
-    assert not _dense(AugmentedMatrix(mat)).any()
+    assert not _dense(_all_pairs(mat)).any()
 
 
 # ------------------------------------------------------------ root screen
@@ -117,7 +121,7 @@ def screens(draw):
     elif kind == "scaled":
         # float32's subnormals, where its rounding error is absolute, drawn more often
         vals = vals * 10.0 ** draw(st.integers(-315, 36) | st.integers(-46, -37))
-    aug = AugmentedMatrix(vals)
+    aug = _all_pairs(vals)
     col = aug[:, draw(st.integers(0, aug.shape[1] - 1))]
     if col.min() < col.max():
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -134,9 +138,9 @@ def test_the_screen_keeps_every_column_the_root_needs(case):
     # absorbs or finds a window in must survive the float32 screen
     vals, aug, eps, min_row = case
     ids, absorb, fits, _ = _fits(aug, np.arange(len(vals)), np.arange(aug.shape[1]), eps, min_row)
-    kept = _screen(vals, aug, eps, min_row)
-    assert np.all(np.diff(kept) > 0)
-    assert set(ids[absorb | fits].tolist()) <= set(kept.tolist())
+    kept = list(zip(*(side.tolist() for side in _screen(vals, eps, min_row))))
+    assert kept == sorted(set(kept))  # lexicographic, no pair twice
+    assert {aug.pairs[k] for k in ids[absorb | fits].tolist()} <= set(kept)
 
 
 def test_the_screen_keeps_the_same_columns_in_blocks_of_every_size(monkeypatch):
@@ -146,12 +150,11 @@ def test_the_screen_keeps_the_same_columns_in_blocks_of_every_size(monkeypatch):
 
     rng = np.random.default_rng(73)
     vals = 1e5 + rng.integers(0, 400, size=(30, 12)) / 10
-    aug = AugmentedMatrix(vals)
-    kept = _screen(vals, aug, 0.3, 4)
-    assert 0 < len(kept) < aug.shape[1]
+    kept = np.stack(_screen(vals, 0.3, 4))
+    assert 0 < kept.shape[1] < 12 * 11 // 2
     for block in (1, 2, 5):
         monkeypatch.setattr(rinclose.chv, "_BLOCK", block)
-        assert np.array_equal(_screen(vals, aug, 0.3, 4), kept), block
+        assert np.array_equal(np.stack(_screen(vals, 0.3, 4)), kept), block
 
 
 def test_chv_runs_unscreened_where_float32_cannot_hold_the_values(monkeypatch):
@@ -159,11 +162,11 @@ def test_chv_runs_unscreened_where_float32_cannot_hold_the_values(monkeypatch):
     # finite: the screen keeps every column, casts nothing and warns nothing
     import rinclose.chv
 
-    roots = []
+    walked = []  # the pairs of each matrix the walk is given
 
-    def recording(values, eps, min_row, min_col, root):
-        roots.append(root)
-        return _mine_cvc(values, eps, min_row, min_col, root)
+    def recording(values, eps, min_row, min_col):
+        walked.append(values.pairs)
+        return _mine_cvc(values, eps, min_row, min_col)
 
     monkeypatch.setattr(rinclose.chv, "_mine_cvc", recording)
     rng = np.random.default_rng(71)
@@ -177,8 +180,43 @@ def test_chv_runs_unscreened_where_float32_cannot_hold_the_values(monkeypatch):
             assert found.biclusters == oracle_enumerate(mat, params).biclusters
         # so does an epsilon above the guard on small values
         small = rng.integers(0, 30, size=(8, 5)) / 10
-        assert np.array_equal(_screen(small, AugmentedMatrix(small), 1e38, 2), np.arange(10))
-    assert len(roots) == 3 and all(np.array_equal(r, np.arange(10)) for r in roots)
+        assert np.array_equal(np.stack(_screen(small, 1e38, 2)), np.triu_indices(5, 1))
+    assert len(walked) == 3 and all(pairs == _all_pairs(mat).pairs for pairs in walked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(screens(), st.integers(2, 4))
+def test_walking_only_the_screened_pairs_keeps_the_output_and_adds_no_node(case, min_col):
+    # the unscreened pipeline walks every pair column; a pair the screen
+    # drops holds no window of min_row rows, so dropping it may only let the
+    # min_col prune fire sooner: the same pairs, and never more nodes
+    vals, aug, eps, min_row = case
+    pairs, nodes = _chv(vals, EnumParams(eps, min_row, min_col, "chv"))
+    full, full_nodes = _mine_cvc(aug, eps, min_row, min_col * (min_col - 1) // 2)
+    want = [key for bic in full for key in extract_chv_from_cvc(bic, aug, eps, min_col)]
+    assert sorted(pairs) == sorted(want)
+    assert nodes <= full_nodes
+
+
+def test_chv_with_fewer_rows_than_min_row_matches_the_oracle():
+    # no pair can hold a window of min_row rows, so the screen keeps none
+    rng = np.random.default_rng(79)
+    mat = rng.integers(0, 30, size=(3, 5)) / 10
+    params = EnumParams(0.5, 4, 2, "chv")
+    assert len(_screen(mat, params.epsilon, params.min_row)[0]) == 0
+    found = enumerate_biclusters(mat, params)
+    assert found.biclusters == oracle_enumerate(mat, params).biclusters == ()
+
+
+def test_chv_where_no_pair_holds_a_window_matches_the_oracle():
+    # row i is (3i + 1)^2, (3i + 2)^2, (3i + 3)^2: each pair difference moves
+    # by 6 or more from row to row, so no two rows are within epsilon on a pair
+    mat = (np.arange(18.0).reshape(6, 3) + 1) ** 2
+    for eps in (1.0, 5.5):
+        params = EnumParams(eps, 2, 2, "chv")
+        assert len(_screen(mat, eps, 2)[0]) == 0
+        found = enumerate_biclusters(mat, params)
+        assert found.biclusters == oracle_enumerate(mat, params).biclusters == ()
 
 
 # ------------------------------------------------------------ perfect variant
@@ -245,7 +283,7 @@ def test_perfect_matches_oracle_on_decimal_values():
 
 
 def test_clique_candidates_of_worked_cvc_bicluster(table1):
-    aug = AugmentedMatrix(table1)
+    aug = _all_pairs(table1)
     # over the pairwise-difference matrix: extent {g1,g3}, intent columns
     # {1,4,5,7,9} in 1-based labels
     e = ((0, 2), (0, 3, 4, 6, 8))
@@ -257,7 +295,7 @@ def test_clique_candidates_of_worked_cvc_bicluster(table1):
 
 
 def test_extraction_drops_the_completable_candidate(table1):
-    aug = AugmentedMatrix(table1)
+    aug = _all_pairs(table1)
     e = ((0, 2), (0, 3, 4, 6, 8))
     kept = extract_chv_from_cvc(e, aug, 1.0, 3)
     # ({g1,g3},{m2,m3,m5}) also admits g2, so only the row-maximal one stays
@@ -266,13 +304,13 @@ def test_extraction_drops_the_completable_candidate(table1):
 
 def test_single_clique_intent_kept_unconditionally():
     mat = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [9.0, 0.0, 5.0]])
-    aug = AugmentedMatrix(mat)
+    aug = _all_pairs(mat)
     cvc_bic = ((0, 1), (0, 1, 2))  # all three pairs -> one triangle
     assert clique_candidates(cvc_bic, aug, min_col=2) == [((0, 1), (0, 1, 2))]
 
 
 def test_small_cliques_filtered_by_min_col(table1):
-    aug = AugmentedMatrix(table1)
+    aug = _all_pairs(table1)
     e = ((0, 2), (0, 3, 4, 6, 8))
     assert all(len(d) >= 4 for _, d in clique_candidates(e, aug, min_col=4))
 

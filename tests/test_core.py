@@ -400,9 +400,9 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
     fits, canonical = rinclose.cvc._fits, rinclose.cvc._canonical_fast
     screen = rinclose.chv._screen
 
-    def counted_screen(values, aug, eps, min_row):
-        out = screen(values, aug, eps, min_row)
-        calls["screened"].append((len(out), aug.shape[1]))
+    def counted_screen(values, eps, min_row):
+        out = screen(values, eps, min_row)
+        calls["screened"].append((len(out[0]), values.shape[1] * (values.shape[1] - 1) // 2))
         return out
 
     def counted_fits(*args):

@@ -22,7 +22,7 @@ from ties import _tie_epsilons
 
 def _augmented(values):
     """The whole augmented matrix of chv, read densely."""
-    aug = AugmentedMatrix(values)
+    aug = AugmentedMatrix(values, *np.triu_indices(values.shape[1], 1))
     return aug[:, 0 : aug.shape[1]]
 
 
@@ -175,16 +175,6 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
     import rinclose.cvc
 
     monkeypatch.setattr(rinclose.cvc, "_BLOCK", block)
-    gathered = []  # does a root read gather its columns?
-    plain = rinclose.cvc._read
-
-    def recording(values, rows, cols, lo, hi):
-        out = plain(values, rows, cols, lo, hi)
-        if isinstance(rows, slice):
-            gathered.append(out[1] is cols)
-        return out
-
-    monkeypatch.setattr(rinclose.cvc, "_read", recording)
     rng = np.random.default_rng(67)
     counts = set()
     for _ in range(30):
@@ -193,17 +183,16 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
         wide = rng.integers(0, 300, size=(n, 3)) / 10  # few or none
         flat = np.full((n, 1), 0.7)  # one window, the whole extent
         values = np.hstack((narrow, wide, flat))[:, rng.permutation(8)]
-        sources = [values, AugmentedMatrix(values)]
+        sources = [values, AugmentedMatrix(values, *np.triu_indices(8, 1))]
         for eps in _tie_epsilons(narrow, rng):
             for min_row in (1, 2, 3):
                 for mat in sources:
                     ids = np.sort(rng.choice(mat.shape[1], size=min(mat.shape[1], 11), replace=False))
-                    sparse = np.sort(rng.choice(mat.shape[1], size=3, replace=False))
                     subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-                    # an extent of every row is the root's: it reads
-                    # slice(None), over every column or over the few a
-                    # screen keeps, gathered where they are sparse
-                    for a, live in ((np.arange(n), np.arange(mat.shape[1])), (np.arange(n), sparse), (subset, ids)):
+                    for a in (np.arange(n), subset):
+                        # an extent of every row is the root's: it reads
+                        # slice(None), and every column is live there
+                        live = ids if len(a) < n else np.arange(mat.shape[1])
                         read, absorb, fits, windows = _fits(mat, a, live, eps, min_row)
                         assert set(live.tolist()) <= set(read.tolist())
                         assert set(windows) == set(read[fits & ~absorb].tolist())
@@ -220,15 +209,15 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
                                 assert got == [] and brute == []
                             counts.add(min(len(brute), 2))
     assert counts == {0, 1, 2}, counts
-    assert any(gathered) == (block > 1) and not all(gathered), block
 
 
 def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
     # a node sorts and cuts its columns _BLOCK at a time; on chv the root
-    # of this 20x26 matrix reads all 325 of its pair columns, so every
-    # block size below leaves a seam there.  No read _fits makes may hold
-    # more than _BLOCK columns (a node holds one block of pair columns at a
-    # time), and node counts and output bytes must not depend on the size
+    # of this 20x26 matrix reads the 261 of its 325 pair columns that the
+    # screen keeps, so every block size below leaves a seam there.  No read
+    # _fits makes may hold more than _BLOCK columns (a node holds one block
+    # of pair columns at a time), and node counts and output bytes must not
+    # depend on the size
     import rinclose.chv
     import rinclose.cvc
 
@@ -334,11 +323,13 @@ def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
     monkeypatch.setattr(rinclose.cvc, "_read", recording)
     rng = np.random.default_rng(59)
     for _ in range(16):
-        n, m = int(rng.integers(6, 11)), int(rng.integers(4, 11))
+        n, m = int(rng.integers(6, 11)), int(rng.integers(6, 15))
         # a few narrow columns among wide ones: windows form in the narrow
         # columns only, and epsilon is a difference there, so the live sets
-        # below the root are sparse and scattered
-        narrow = rng.random(m) < 0.3
+        # below the root are sparse and scattered, sparse enough for a
+        # gather mostly on cvc and cvr (chv walks only the pairs that hold
+        # a window over all rows)
+        narrow = rng.random(m) < 0.2
         narrow[int(rng.integers(m))] = True
         vals = rng.integers(0, np.where(narrow, 30, 1000), size=(n, m)) / 10
         for bt in ("cvc", "cvr", "chv"):
