@@ -19,15 +19,12 @@ could reach 2*epsilon), so the problem is lifted to the augmented matrix
 holding every pairwise column difference.  There a coherent column set shows
 up as constant-column structure; the pipeline is
 
-1. screen the pair columns in float32 (``_screen``), keeping every one that
-   holds an epsilon-window of min_row rows over all rows, and index only
-   those (``AugmentedMatrix``): a read subtracts only the cells it returns,
-   so the n x m(m-1)/2 matrix is never stored.  Walking only the kept pairs
-   is exact: a dropped pair holds no window of min_row rows over all rows,
-   so none over any extent, and no node absorbs it, cuts it or reads it in
-   its canonicity test (which reads live columns only).  Only the min_col
-   prune, which counts the columns after the one scanned, fires sooner,
-   and only at nodes that could emit nothing,
+1. screen the pair columns (``cvc._screen`` on ``_pair_blocks``), keeping
+   every one that holds an epsilon-window of min_row rows over all rows,
+   and index only those (``AugmentedMatrix``): a read subtracts only the
+   cells it returns, so the n x m(m-1)/2 matrix is never stored.  Walking
+   only the kept pairs is exact, as walking only the kept columns is for
+   ``cvc`` (see the ``cvc`` module docstring),
 2. mine it for maximal constant-column biclusters with the same epsilon
    (min_col mapped to the pair count c*(c-1)/2, a sound prune), and
 3. for each of those, map its intent back to original columns, connect the
@@ -46,10 +43,11 @@ The clique search of step 3 is ``maximal_cliques`` here, Bron-Kerbosch over
 neighbour bitmasks, and step 3 takes the kernel's (rows, cols) index tuples
 as they come: only ``enumerate_biclusters`` builds ``Bicluster`` objects.
 
-Both cases first check that no pairwise column difference overflows.  The
-miners ``_chv_perfect`` and ``_chv`` take the value array in model space
-and return (rows, cols) pairs and the node count; ``enumerate_biclusters``
-owns the model transform, the timing, the sort and the stats.
+Both miners first check that no pairwise column difference overflows,
+before anything subtracts.  The miners ``_chv_perfect`` and ``_chv`` take
+the value array in model space and return (rows, cols) pairs and the node
+count; ``enumerate_biclusters`` owns the model transform, the timing, the
+sort and the stats.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import EnumParams
-from .cvc import _BLOCK, _completable, _mine_cvc
+from .cvc import _BLOCK, _completable, _mine_cvc, _screen
 from .inclose2 import _bits, _mine_groups
 
 
@@ -80,13 +78,12 @@ class AugmentedMatrix:
 
     Column k is d_ij - d_il for the pair (j, l) = ``pairs[k]`` = (left[k],
     right[k]), j < l; ``_chv`` passes the pairs its screen keeps, in
-    lexicographic order.  It serves the reads of the kernel and
-    ``_completable``: [:, lo:hi], [rows, lo:hi], [rows[:, None], ids],
-    [:, k] and [rows, k].
+    lexicographic order, once their differences are known to be finite.
+    It serves the four reads of the kernel and ``_completable``: [:, lo:hi],
+    [rows, lo:hi], [:, k] and [rows, k].
     """
 
     def __init__(self, values: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-        _check_differences(values)
         self.values, self.left, self.right = values, left, right
         self.pairs = tuple(zip(left.tolist(), right.tolist()))
         self.shape = (len(values), len(self.pairs))
@@ -194,61 +191,22 @@ def extract_chv_from_cvc(
     return kept
 
 
-def _screen(values: np.ndarray, eps: float, min_row: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (left, right) of columns, in lexicographic order, whose
-    float32 difference holds a window of min_row rows within thr: a superset
-    of the pair columns the float64 root absorbs or finds a window in
-    (``cvc._fits``).
-
-    A float32 copy of values gives each pair column (j, l), up to _BLOCK
-    pairs of one j at a time; it is sorted and kept if s[p + min_row - 1] -
-    s[p] <= thr for some p.  Why no column the root needs is lost:
-
-    * Let A = max|values|.  The two casts to float32, the float32
-      subtraction and the kernel's float64 one err by at most 2^-24 (2^-53)
-      of their operands, plus 2^-150 for a subnormal, so a cell's float32
-      difference y is within e = 2^-21 A + 2^-140 of the kernel's
-      x = fl64(v_j - v_l).
-    * If the float64 test passes on rows P, |P| = min_row, the x of P span
-      at most eps(1 + 2^-52), so their y span at most eps(1 + 2^-52) + 2e,
-      and so does the run of min_row sorted y from the least of them.
-    * thr is the float32 above eps(1 + 2^-20) + 4e, whose slack covers its
-      own float64 rounding; rounding is monotone, so that run passes.
-    * An absorbed column is a window of all n >= min_row rows.  With
-      n < min_row no pair is kept, and the root would emit nothing.
-
-    If A or the bound exceeds a float32 max / 8, float32 cannot hold the
-    values, their differences or thr, and every pair is kept.
-    """
-    n, m = values.shape
-    left, right = np.triu_indices(m, 1)
-    w = max(n - min_row + 1, 0)
-    big = float(np.finfo(np.float32).max) / 8
-    top = max(float(values.max()), -float(values.min()))
-    bound = eps * (1 + 2.0**-20) + 4 * (2.0**-21 * top + 2.0**-140)
-    if top > big or bound > big:
-        return left, right
-    thr = np.nextafter(np.float32(bound), np.float32(np.inf))
-    t = np.ascontiguousarray(values.T, dtype=np.float32)  # one row per column
-    keep = np.zeros(len(left), dtype=bool)
-    k = 0  # index of the pair (j, lo), pairs in lexicographic order
+def _pair_blocks(t: np.ndarray):
+    """The pair columns t[j] - t[l], j < l, as rows in lexicographic order, up
+    to _BLOCK pairs of one j at a time: ``cvc._screen``'s blocks for ``chv``,
+    t its copy of values.T."""
+    m = len(t)
     for j in range(m - 1):
         for lo in range(j + 1, m, _BLOCK):
-            s = t[j] - t[lo : lo + _BLOCK]  # the pairs (j, lo), (j, lo + 1), ...
-            s.sort(axis=1)
-            keep[k : k + len(s)] = (s[:, n - w :] - s[:, :w] <= thr).any(axis=1)
-            k += len(s)
-    return left[keep], right[keep]
+            yield t[j] - t[lo : lo + _BLOCK]
 
 
 def _chv(values: np.ndarray, params: EnumParams):
     """Miner for ``chv``: screen and walk the augmented matrix, then extract from each result."""
-    # differences that overflow need values above the float32 guard, so the
-    # screen keeps every pair and AugmentedMatrix rejects them
-    left, right = _screen(values, params.epsilon, params.min_row)
-    if not len(left):  # fewer than two columns, or no pair holds a window
-        return [], 0
-    aug = AugmentedMatrix(values, left, right)
+    _check_differences(values)  # before the screen subtracts
+    left, right = np.triu_indices(values.shape[1], 1)
+    keep = _screen(values, params.epsilon, params.min_row, _pair_blocks)
+    aug = AugmentedMatrix(values, left[keep], right[keep])
     min_pairs = params.min_col * (params.min_col - 1) // 2
     pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

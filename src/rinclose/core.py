@@ -24,6 +24,7 @@ Indices are 0-based everywhere, including file formats.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -100,16 +101,17 @@ def as_matrix(obj) -> NumericMatrix:
 class Bicluster(namedtuple("Bicluster", ("rows", "cols"))):
     """A submatrix selection: sorted row ids and sorted column ids.
 
-    Both index tuples are normalized to strictly increasing order; empty
-    selections are rejected.  A named tuple, it compares, hashes and sorts
+    Both index tuples are normalized to strictly increasing order of Python
+    ints; an index that is not an integer (``operator.index``) raises
+    TypeError, and empty selections are rejected.  A named tuple, it compares, hashes and sorts
     as its plain (rows, cols) pair; ``_make`` takes a normalized pair as is.
     """
 
     __slots__ = ()
 
     def __new__(cls, rows: Iterable[int], cols: Iterable[int]) -> "Bicluster":
-        r = tuple(sorted(set(map(int, rows))))
-        c = tuple(sorted(set(map(int, cols))))
+        r = tuple(sorted(set(map(operator.index, rows))))
+        c = tuple(sorted(set(map(operator.index, cols))))
         if not r or not c:
             raise ValueError("bicluster rows and cols must be nonempty")
         return super().__new__(cls, r, c)
@@ -143,6 +145,11 @@ class EnumParams:
             raise ValueError("bic_type 'ctv-binary' mines 0/1 cells as given; use model 'shift'")
         if not (self.epsilon >= 0.0) or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be a finite nonnegative real, got {self.epsilon}")
+        for size in (self.min_row, self.min_col):
+            try:
+                operator.index(size)
+            except TypeError:
+                raise ValueError(f"min_row and min_col must be integers, got {size!r}") from None
         if self.min_row < 1 or self.min_col < 1:
             raise ValueError("min_row and min_col must be >= 1")
         if self.bic_type in PERFECT_TYPES and self.epsilon != 0.0:

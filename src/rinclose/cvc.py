@@ -58,38 +58,37 @@ of cut columns does not depend on the intent the scan grows: a column of
 the inherited intent has range <= epsilon over a superset of the extent,
 hence over the extent, so it is absorbed and never cut.  The min_col
 prune only ends the scan early, and the windows of the columns past it go
-unused.  A node holds one block of at most _BLOCK columns at a time, dead
-ones included (``_read``).  The scan takes each cut column's windows in
+unused.  A node holds one block of at most _BLOCK columns at a time, and so
+does a canonicity test.  The scan takes each cut column's windows in
 order.  A window whose extent the node has cut before (``cut``) or the
 registry holds is dropped before canonicity reads anything: the former
-was cut at an earlier column e, live, outside the intent and of range <=
+was cut at an earlier column e, outside the intent and of range <=
 epsilon over it, so canonicity rejects it; the registry drops the latter
 anyway.
 
-The skip is inherited down the tree.  A column that holds no window of
-min_row rows over an extent holds none over any subset of it: where a
-window of min_row rows of the subset starts, at value v, one starts in the
-extent's sorted order too, since the min_row-th value from v can only be
-lower there and subtraction is monotone.  So each stack entry carries its
-live columns, the ascending ids of the columns that may still hold a
-window: those its parent inherited below the parent's start attribute,
-and those from there that hold one over the parent's extent (the root
-starts with every column).  A node sorts only its live columns, and a
-child's canonicity test reads only the live columns below its cut column:
-a column with range <= epsilon over the child holds a window of the
-child's min_row or more rows, so it was live at every ancestor.  A dead
-column passes neither test, so a read may slice dead columns in with the
-live ones where those are dense, and the verdicts do not change
-(``_read``).  On the augmented matrix of ``chv`` most pair columns die
-below the root.
+Every miner screens its columns once, before the walk (``_screen``), and
+hands the kernel a matrix of only those that hold a window of min_row rows
+over all rows.  A column that holds none over the full row set holds none
+over any subset of it: where a window of min_row rows of the subset
+starts, at value v, one starts in the full sorted order too, since the
+min_row-th value from v can only be lower there and subtraction is
+monotone.  Every node has min_row rows or more (a root with fewer emits
+nothing, and the screen keeps no column for it), so no node would absorb
+a dropped column, cut it, or find it fitting a child in a canonicity test,
+and the walk over the kept columns is the walk over all of them with the
+dropped ones passed over.  Only the min_col prune, which counts the
+columns after the one scanned, can fire sooner, and only where the intent
+can no longer reach min_col, so a node count never grows.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
-matrix, ``cvr`` on the transpose (the dispatch table's transpose rule) and
-``chv`` on the augmented matrix, which computes the pair columns each read
-asks for (``chv.AugmentedMatrix``): a node holds one block of them at a
-time.  The miner here (``_cvc``) maps params onto the kernel's arguments
-and returns its (rows, cols) pairs and node count; ``enumerate_biclusters``
-owns the model transform, the timing, the sort and the stats.
+kept columns of the matrix, ``cvr`` on those of the transpose (the dispatch
+table's transpose rule) and ``chv`` on the augmented matrix of its kept
+pair columns, which computes the pair columns each read asks for
+(``chv.AugmentedMatrix``): a node holds one block of them at a time.  The
+miner here (``_cvc``) screens the columns, maps params onto the kernel's
+arguments, maps the kept column ids back, and returns the (rows, cols)
+pairs and node count; ``enumerate_biclusters`` owns the model transform,
+the timing, the sort and the stats.
 """
 
 from __future__ import annotations
@@ -101,8 +100,7 @@ import numpy as np
 from .core import EnumParams
 from .inclose2 import _bits, _decode
 
-_BLOCK = 256  # columns per read and sort in _fits
-_GATHER = 5  # see _read
+_BLOCK = 256  # columns per read and sort in _fits and _canonical_fast
 
 
 def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps: float) -> bool:
@@ -126,44 +124,72 @@ def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps:
     return len(cand) > 0
 
 
-def _read(
-    values: np.ndarray, rows: np.ndarray | slice, cols: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """values[rows] on the live columns cols (ascending ids in lo..hi-1), and the ids read.
+def _screen(values: np.ndarray, eps: float, min_row: int, blocks=lambda t: (t,)) -> np.ndarray:
+    """Which columns hold an eps-window of min_row rows over all rows, as a
+    mask in the order blocks yields them: a superset of the columns the
+    kernel's float64 root absorbs or finds a window in (``_fits``).
 
-    A gather costs several times what a slice does per cell, so the plain
-    slice lo:hi is read unless cols are fewer than 1 in _GATHER of its
-    columns or it is wider than _BLOCK.  The slice's other columns are dead,
-    and no test is passed by a dead column (see the module docstring), so
-    both reads give one verdict.  rows is slice(None) only at the root,
-    whose columns are all live and read _BLOCK at a time, so the root reads
-    plain slices and gathers nothing.
+    blocks(t) yields the screened columns as the rows of arrays it may sort
+    in place, computed from t, a copy of values.T: by default the columns of
+    values (``cvc``), for ``chv`` their pair differences.  Each row is sorted
+    and kept if s[p + min_row - 1] - s[p] <= thr for some p.  Where float32
+    can hold the values and the bound below, t is float32, and no column
+    the root needs is lost:
+
+    * Let A = max|values|.  The kernel reads x = v or x = fl64(v_j - v_l),
+      the screen y = fl32(v) or fl32(v_j) - fl32(v_l) in float32.  The
+      casts and the subtractions err by at most 2^-24 (2^-53 in float64) of
+      their operands, plus 2^-150 for a subnormal, so a cell's y is within
+      e = 2^-21 A + 2^-140 of its x.
+    * If the float64 test passes on rows P, |P| = min_row, the x of P span
+      at most eps(1 + 2^-52), so their y span at most eps(1 + 2^-52) + 2e,
+      and so does the run of min_row sorted y from the least of them.
+    * thr is the float32 above eps(1 + 2^-20) + 4e, whose slack covers its
+      own float64 rounding; rounding is monotone, so that run passes.
+    * An absorbed column is a window of all n >= min_row rows.  With
+      n < min_row no column is kept, and the root would emit nothing.
+
+    If A or the bound exceeds a float32 max / 8, t is float64 and thr = eps:
+    the root's own subtraction and test, so with n >= min_row the screen
+    keeps exactly the columns the root absorbs or finds a window in.
     """
-    if _GATHER * len(cols) >= hi - lo and hi - lo <= _BLOCK:
-        return values[rows, lo:hi], np.arange(lo, hi)
-    return values[rows[:, None], cols], cols
+    n = values.shape[0]
+    w = max(n - min_row + 1, 0)
+    big = float(np.finfo(np.float32).max) / 8
+    top = max(float(values.max()), -float(values.min()))
+    bound = eps * (1 + 2.0**-20) + 4 * (2.0**-21 * top + 2.0**-140)
+    if top > big or bound > big:
+        dtype, thr = np.float64, eps
+    else:
+        dtype, thr = np.float32, np.nextafter(np.float32(bound), np.float32(np.inf))
+    t = np.array(values.T, dtype=dtype, order="C")  # a copy: the caller's array is never sorted
+    keep = [np.zeros(0, dtype=bool)]
+    for s in blocks(t):
+        s.sort(axis=1)
+        keep.append((s[:, n - w :] - s[:, :w] <= thr).any(axis=1))
+    return np.concatenate(keep)
 
 
-def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, live: np.ndarray, eps: float) -> bool:
+def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, j: int, eps: float) -> bool:
     """Canonicity of the child rw cut at column j: no column < j outside the intent b fits rw.
 
-    live holds the ascending ids of the node's live columns < j; no other
-    column < j can fit rw (see the module docstring), so only those are read.
+    The columns < j are read _BLOCK at a time.
     """
-    if not len(live):
-        return True
-    sub, ids = _read(values, rw, live, 0, int(live[-1]) + 1)
-    return all(b >> c & 1 for c in ids[sub.max(axis=0) - sub.min(axis=0) <= eps].tolist())
+    for lo in range(0, j, _BLOCK):
+        sub = values[rw, lo : min(lo + _BLOCK, j)]
+        fit = np.flatnonzero(sub.max(axis=0) - sub.min(axis=0) <= eps)
+        if not all(b >> (lo + c) & 1 for c in fit.tolist()):
+            return False
+    return True
 
 
 def _fits(
-    values: np.ndarray, a: np.ndarray, live: np.ndarray, eps: float, min_row: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, list[np.ndarray]]]:
-    """The ids read for the live columns over the extent a (ascending), per id
-    whether its range is <= eps and whether a window fits, and the windows
-    of each cut column by id.
+    values: np.ndarray, a: np.ndarray, y: int, eps: float, min_row: int
+) -> tuple[np.ndarray, np.ndarray, dict[int, list[np.ndarray]]]:
+    """Per column y + p over the extent a, whether its range is <= eps and
+    whether a window fits, and the windows of each cut column by id.
 
-    All are read off one sort of the column over a, _BLOCK live ids at a
+    All are read off one sort of the column over a, _BLOCK columns at a
     time: the range is s[-1] - s[0], and a window of min_row rows starts at
     p iff s[p + min_row - 1] - s[p] <= eps.  A column that fits and is not
     absorbed is cut into its maximal eps-windows of min_row rows or more,
@@ -179,15 +205,13 @@ def _fits(
     n = len(a)
     rows = a if n < values.shape[0] else slice(None)  # the root reads values itself
     w = max(n - min_row + 1, 0)  # window starts; none if too few rows
-    ids, absorb, fits = [live[:0]], [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)]
+    absorb, fits = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)]
     windows: dict[int, list[np.ndarray]] = {}
-    for lo in range(0, len(live), _BLOCK):
-        chunk = live[lo : lo + _BLOCK]
-        sub, read = _read(values, rows, chunk, int(chunk[0]), int(chunk[-1]) + 1)
+    for lo in range(y, values.shape[1], _BLOCK):
+        sub = values[rows, lo : lo + _BLOCK]
         s = np.sort(sub, axis=0)  # unstable: no maximal window splits a tie
         starts = s[n - w :] - s[:w] <= eps  # start x column: a window of min_row rows at p
         full, fit = s[-1] - s[0] <= eps, starts.any(axis=0)
-        ids.append(read)
         absorb.append(full)
         fits.append(fit)
         cols = np.flatnonzero(fit & ~full)  # the block's cut columns
@@ -212,8 +236,8 @@ def _fits(
         keep = (p == 0) | (s[e - 1, c] - s[p - 1, c] > eps)
         for k, q, f in zip(c[keep].tolist(), p[keep].tolist(), e[keep].tolist()):
             rw = a[(sub[:, k] >= s[q, k]) & (sub[:, k] <= s[f - 1, k])]
-            windows.setdefault(int(read[k]), []).append(rw)
-    return np.concatenate(ids), np.concatenate(absorb), np.concatenate(fits), windows
+            windows.setdefault(lo + k, []).append(rw)
+    return np.concatenate(absorb), np.concatenate(fits), windows
 
 
 def _mine_cvc(
@@ -221,17 +245,16 @@ def _mine_cvc(
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """Core walk shared by the perturbed bicluster types.
 
-    Returns (list of (rows, cols) pairs, node count), no extent twice.  A
-    node cuts its cut columns in the pass that sorts them (``_fits``),
-    before its scan, and the scan takes their windows column by column.  A
-    child is dropped by the three guards of the module docstring; a window
-    already cut at the node or in the registry is dropped before any read.
-    A stack entry is (extent, intent mask, start attribute, live columns); a
-    node's children share one live array: its own live columns below its
-    start attribute, plus those from there that hold a window over its
-    extent.
+    Returns (list of (rows, cols) pairs, node count), no extent twice; a
+    matrix of no columns has neither.  A node cuts its cut columns in the
+    pass that sorts them (``_fits``), before its scan, and the scan takes
+    their windows column by column.  A child is dropped by the three guards
+    of the module docstring; a window already cut at the node or in the
+    registry is dropped before any read.
     """
     n, m = values.shape
+    if not m:  # the screen kept no column
+        return [], 0
     # extents of the children created so far; an extent that fails the
     # row-maximality test must stay out, because the same rows can reappear
     # later under a stronger intent that no outside row can join, and that
@@ -240,46 +263,37 @@ def _mine_cvc(
     extents: list[tuple[int, ...]] = []
     intents: list[int] = []  # emitted intent masks, decoded when the walk ends
     nodes = 0
-    # stack entries: (extent row ids sorted, inherited intent mask, start
-    # attr, live column ids sorted); the root starts with every column live
-    stack: list[tuple[np.ndarray, int, int, np.ndarray]] = [
-        (np.arange(n, dtype=np.intp), 0, 0, np.arange(m, dtype=np.intp))
-    ]
+    # stack entries: (extent row ids sorted, inherited intent mask, start attr)
+    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n, dtype=np.intp), 0, 0)]
     while stack:
-        a, b, y, live = stack.pop()
+        a, b, y = stack.pop()
         nodes += 1
-        iy = int(np.searchsorted(live, y))
         # the cut columns' windows are listed before the scan: an intent
         # column has range <= eps over a superset of the extent, so it is
-        # absorbed, never cut
-        cols, absorb, fits, windows = _fits(values, a, live[iy:], eps, min_row)
-        # the node's live columns: the inherited ones < y and those from y
-        # that hold a window.  A column that neither joins the intent nor
+        # absorbed, never cut.  A column that neither joins the intent nor
         # holds a window of min_row rows creates no child, so the scan
         # passes over it; the min_col prune could fire on such a column only
         # when the intent is already too short to emit, and then fires on
         # the next one scanned
-        live = np.concatenate((live[:iy], cols[fits]))
+        absorb, fits, windows = _fits(values, a, y, eps, min_row)
         children: list[tuple[np.ndarray, int]] = []
         cut: set[bytes] = set()  # extents of the windows this node has cut
         pruned = False
-        for p in np.flatnonzero(absorb | fits).tolist():
-            j = int(cols[p])
+        for j in (y + np.flatnonzero(absorb | fits)).tolist():
             if b >> j & 1:
                 continue
             if b.bit_count() + (m - j) < min_col:
                 pruned = True
                 break
-            if absorb[p]:
+            if absorb[j - y]:
                 b |= 1 << j
                 continue
-            earlier = live[: np.searchsorted(live, j)]
             for rw in windows[j]:
                 key = rw.tobytes()
                 if key in cut or key in seen:
                     continue
                 cut.add(key)
-                if not _canonical_fast(values, rw, b, earlier, eps):
+                if not _canonical_fast(values, rw, b, j, eps):
                     continue
                 if _completable(values, rw, (j, *_bits(b)), eps):
                     continue
@@ -289,11 +303,15 @@ def _mine_cvc(
             extents.append(tuple(a.tolist()))
             intents.append(b)
         for rw, j in reversed(children):
-            stack.append((rw, b | 1 << j, j + 1, live))
+            stack.append((rw, b | 1 << j, j + 1))
     return list(zip(extents, _decode(intents, m))), nodes
 
 
 def _cvc(values: np.ndarray, params: EnumParams):
-    """Miner for ``cvc``: the kernel under the caller's filters."""
-    return _mine_cvc(values, params.epsilon, params.min_row, params.min_col)
-
+    """Miner for ``cvc``: the kernel on the columns the screen keeps, under the caller's filters."""
+    kept = np.flatnonzero(_screen(values, params.epsilon, params.min_row))
+    if len(kept) < values.shape[1]:  # a copy of the kept columns only where some are dropped
+        values = values[:, kept]
+    pairs, nodes = _mine_cvc(values, params.epsilon, params.min_row, params.min_col)
+    ids = kept.tolist()
+    return [(rows, tuple(ids[c] for c in cols)) for rows, cols in pairs], nodes

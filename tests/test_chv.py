@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rinclose import (
+    ALGORITHMS,
     EnumParams,
     GenConfig,
     enumerate_biclusters,
@@ -17,8 +18,14 @@ from rinclose import (
     oracle_enumerate,
     transpose,
 )
-from rinclose.chv import AugmentedMatrix, _chv, _screen, clique_candidates, extract_chv_from_cvc
-from rinclose.cvc import _fits, _mine_cvc
+from rinclose.chv import (
+    AugmentedMatrix,
+    _chv,
+    _pair_blocks,
+    clique_candidates,
+    extract_chv_from_cvc,
+)
+from rinclose.cvc import _cvc, _fits, _mine_cvc, _screen
 from ties import _tie_epsilons
 
 # ------------------------------------------------------------ augmented matrix
@@ -85,9 +92,15 @@ def test_pair_bijection():
     )
 
 
-def test_augmented_rejects_overflowing_differences():
+def test_augmented_rejects_overflowing_differences(monkeypatch):
+    # the miner checks the differences before its screen subtracts any
+    import rinclose.chv
+
+    screened = []
+    monkeypatch.setattr(rinclose.chv, "_screen", lambda *args: screened.append(args))
     with pytest.raises(ValueError, match="non-finite"):
-        _all_pairs(np.array([[1e308, -1e308]]))
+        _chv(np.array([[1e308, -1e308]]), EnumParams(0.5, 1, 2, "chv"))
+    assert screened == []
 
 
 def test_both_chv_types_reject_overflowing_differences():
@@ -107,12 +120,25 @@ def test_constant_rows_give_zero_augmented():
 # ------------------------------------------------------------ root screen
 
 
+def _kernel_matrix(bic_type, vals):
+    """The matrix the walk of bic_type would run on without the screen."""
+    return {"cvc": vals, "cvr": np.ascontiguousarray(vals.T), "chv": _all_pairs(vals)}[bic_type]
+
+
+def _screened(bic_type, vals, eps, min_row):
+    """The mask the miner's screen computes over its kernel matrix's columns."""
+    if bic_type == "chv":
+        return _screen(vals, eps, min_row, _pair_blocks)
+    return _screen(_kernel_matrix(bic_type, vals), eps, min_row)
+
+
 @st.composite
-def screens(draw):
-    """A matrix, epsilon and min_row for the root screen: k/10 decimals, offset
-    by up to 1e7 or scaled from subnormal up to just under the float32 guard,
-    with epsilon on an exact window range of a pair column or a float
-    neighbour of it (a range of 0 gives a fixed epsilon instead)."""
+def screens(draw, bic_type):
+    """A matrix, its kernel matrix for bic_type, epsilon and min_row for the
+    root screen: k/10 decimals, offset by up to 1e7 or scaled from subnormal
+    up to just under the float32 guard, with epsilon on an exact window
+    range of a kernel column or a float neighbour of it (a range of 0 gives
+    a fixed epsilon instead)."""
     n, m = draw(st.integers(1, 12)), draw(st.integers(2, 6))
     vals = draw(arrays(np.int64, (n, m), elements=st.integers(0, 40))) / 10
     kind = draw(st.sampled_from(["decimal", "offset", "scaled"]))
@@ -121,26 +147,30 @@ def screens(draw):
     elif kind == "scaled":
         # float32's subnormals, where its rounding error is absolute, drawn more often
         vals = vals * 10.0 ** draw(st.integers(-315, 36) | st.integers(-46, -37))
-    aug = _all_pairs(vals)
-    col = aug[:, draw(st.integers(0, aug.shape[1] - 1))]
+    mat = _kernel_matrix(bic_type, vals)
+    col = mat[:, draw(st.integers(0, mat.shape[1] - 1))]
     if col.min() < col.max():
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         eps = draw(st.sampled_from(_tie_epsilons(col, rng)))
     else:
         eps = 0.25
-    return vals, aug, eps, draw(st.integers(1, n))
+    return vals, mat, eps, draw(st.integers(1, mat.shape[0]))
 
 
+PERTURBED = ["cvc", "cvr", "chv"]
+
+
+@pytest.mark.parametrize("bic_type", PERTURBED)
 @settings(max_examples=400, deadline=None)
-@given(screens())
-def test_the_screen_keeps_every_column_the_root_needs(case):
-    # the float64 root is every row over every pair column; each column it
-    # absorbs or finds a window in must survive the float32 screen
-    vals, aug, eps, min_row = case
-    ids, absorb, fits, _ = _fits(aug, np.arange(len(vals)), np.arange(aug.shape[1]), eps, min_row)
-    kept = list(zip(*(side.tolist() for side in _screen(vals, eps, min_row))))
-    assert kept == sorted(set(kept))  # lexicographic, no pair twice
-    assert {aug.pairs[k] for k in ids[absorb | fits].tolist()} <= set(kept)
+@given(data=st.data())
+def test_the_screen_keeps_every_column_the_root_needs(bic_type, data):
+    # the float64 root is every row over every column of the kernel matrix;
+    # each column it absorbs or finds a window in must survive the screen
+    vals, mat, eps, min_row = data.draw(screens(bic_type))
+    absorb, fits, _ = _fits(mat, np.arange(mat.shape[0]), 0, eps, min_row)
+    keep = _screened(bic_type, vals, eps, min_row)
+    assert keep.shape == (mat.shape[1],)
+    assert not (absorb | fits)[~keep].any()
 
 
 def test_the_screen_keeps_the_same_columns_in_blocks_of_every_size(monkeypatch):
@@ -150,50 +180,72 @@ def test_the_screen_keeps_the_same_columns_in_blocks_of_every_size(monkeypatch):
 
     rng = np.random.default_rng(73)
     vals = 1e5 + rng.integers(0, 400, size=(30, 12)) / 10
-    kept = np.stack(_screen(vals, 0.3, 4))
-    assert 0 < kept.shape[1] < 12 * 11 // 2
+    kept = _screen(vals, 0.3, 4, _pair_blocks)
+    assert 0 < kept.sum() < len(kept) == 12 * 11 // 2
     for block in (1, 2, 5):
         monkeypatch.setattr(rinclose.chv, "_BLOCK", block)
-        assert np.array_equal(np.stack(_screen(vals, 0.3, 4)), kept), block
+        assert np.array_equal(_screen(vals, 0.3, 4, _pair_blocks), kept), block
 
 
-def test_chv_runs_unscreened_where_float32_cannot_hold_the_values(monkeypatch):
+def test_the_screen_runs_in_float64_where_float32_cannot_hold_the_values():
     # values near 1e300 overflow float32, yet their pair differences are
-    # finite: the screen keeps every column, casts nothing and warns nothing
-    import rinclose.chv
-
-    walked = []  # the pairs of each matrix the walk is given
-
-    def recording(values, eps, min_row, min_col):
-        walked.append(values.pairs)
-        return _mine_cvc(values, eps, min_row, min_col)
-
-    monkeypatch.setattr(rinclose.chv, "_mine_cvc", recording)
+    # finite, and an epsilon above the guard overflows the float32
+    # threshold: the screen then runs the root's own float64 test, so it
+    # keeps exactly the columns the root absorbs or finds a window in, casts
+    # nothing and warns nothing, and every type still finds the oracle's
+    # biclusters
     rng = np.random.default_rng(71)
-    mat = 1e300 * (1 + rng.integers(0, 30, size=(8, 5)) / 10)
+    big = 1e300 * (1 + rng.integers(0, 30, size=(8, 5)) / 10)
+    small = rng.integers(0, 30, size=(8, 5)) / 10
+    cases = [(big, eps) for eps in _tie_epsilons(big, rng)] + [(small, 1e38)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for eps in _tie_epsilons(mat, rng):
-            params = EnumParams(eps, 2, 2, "chv")
-            found = enumerate_biclusters(mat, params)
-            assert len(found) > 0
-            assert found.biclusters == oracle_enumerate(mat, params).biclusters
-        # so does an epsilon above the guard on small values
-        small = rng.integers(0, 30, size=(8, 5)) / 10
-        assert np.array_equal(np.stack(_screen(small, 1e38, 2)), np.triu_indices(5, 1))
-    assert len(walked) == 3 and all(pairs == _all_pairs(mat).pairs for pairs in walked)
+        for vals, eps in cases:
+            for bic_type in PERTURBED:
+                mat = _kernel_matrix(bic_type, vals)
+                for min_row in range(1, mat.shape[0] + 1):
+                    absorb, fits, _ = _fits(mat, np.arange(mat.shape[0]), 0, eps, min_row)
+                    assert np.array_equal(_screened(bic_type, vals, eps, min_row), absorb | fits)
+                params = EnumParams(eps, 2, 2, bic_type)
+                found = enumerate_biclusters(vals, params)
+                assert len(found) > 0
+                assert found.biclusters == oracle_enumerate(vals, params).biclusters
 
 
+def test_the_screen_leaves_the_callers_array_as_it_was():
+    # the screen sorts its own copy: an F-ordered input's transpose is
+    # C-contiguous, so a copy only where one is needed would sort the
+    # caller's cells in place; both routes, float32 and float64
+    rng = np.random.default_rng(83)
+    for scale in (1.0, 1e300):
+        vals = np.asfortranarray(scale * rng.integers(0, 30, size=(9, 6)) / 10)
+        before = vals.copy()
+        for bic_type in PERTURBED:
+            enumerate_biclusters(vals, EnumParams(0.25 * scale, 2, 2, bic_type))
+        _screen(vals, 0.25 * scale, 2)
+        assert vals.flags.f_contiguous and np.array_equal(vals, before)
+
+
+@pytest.mark.parametrize("bic_type", PERTURBED)
 @settings(max_examples=300, deadline=None)
-@given(screens(), st.integers(2, 4))
-def test_walking_only_the_screened_pairs_keeps_the_output_and_adds_no_node(case, min_col):
-    # the unscreened pipeline walks every pair column; a pair the screen
-    # drops holds no window of min_row rows, so dropping it may only let the
-    # min_col prune fire sooner: the same pairs, and never more nodes
-    vals, aug, eps, min_row = case
-    pairs, nodes = _chv(vals, EnumParams(eps, min_row, min_col, "chv"))
-    full, full_nodes = _mine_cvc(aug, eps, min_row, min_col * (min_col - 1) // 2)
-    want = [key for bic in full for key in extract_chv_from_cvc(bic, aug, eps, min_col)]
+@given(data=st.data(), min_col=st.integers(2, 4))
+def test_walking_only_the_screened_pairs_keeps_the_output_and_adds_no_node(bic_type, data, min_col):
+    # the unscreened pipeline walks every column of the kernel matrix; a
+    # column the screen drops holds no window of min_row rows, so dropping
+    # it may only let the min_col prune fire sooner: the same biclusters,
+    # and never more nodes
+    vals, mat, eps, min_row = data.draw(screens(bic_type))
+    if bic_type == "chv":
+        pairs, nodes = _chv(vals, EnumParams(eps, min_row, min_col, "chv"))
+        full, full_nodes = _mine_cvc(mat, eps, min_row, min_col * (min_col - 1) // 2)
+        want = [key for bic in full for key in extract_chv_from_cvc(bic, mat, eps, min_col)]
+    elif bic_type == "cvc":
+        pairs, nodes = _cvc(vals, EnumParams(eps, min_row, min_col, "cvc"))
+        want, full_nodes = _mine_cvc(mat, eps, min_row, min_col)
+    else:  # the transpose rule swaps the size filters and each pair
+        pairs, nodes = ALGORITHMS["cvr"](vals, EnumParams(eps, min_col, min_row, "cvr"))
+        full, full_nodes = _mine_cvc(mat, eps, min_row, min_col)
+        want = [(cols, rows) for rows, cols in full]
     assert sorted(pairs) == sorted(want)
     assert nodes <= full_nodes
 
@@ -203,7 +255,7 @@ def test_chv_with_fewer_rows_than_min_row_matches_the_oracle():
     rng = np.random.default_rng(79)
     mat = rng.integers(0, 30, size=(3, 5)) / 10
     params = EnumParams(0.5, 4, 2, "chv")
-    assert len(_screen(mat, params.epsilon, params.min_row)[0]) == 0
+    assert not _screen(mat, params.epsilon, params.min_row, _pair_blocks).any()
     found = enumerate_biclusters(mat, params)
     assert found.biclusters == oracle_enumerate(mat, params).biclusters == ()
 
@@ -214,7 +266,7 @@ def test_chv_where_no_pair_holds_a_window_matches_the_oracle():
     mat = (np.arange(18.0).reshape(6, 3) + 1) ** 2
     for eps in (1.0, 5.5):
         params = EnumParams(eps, 2, 2, "chv")
-        assert len(_screen(mat, eps, 2)[0]) == 0
+        assert not _screen(mat, eps, 2, _pair_blocks).any()
         found = enumerate_biclusters(mat, params)
         assert found.biclusters == oracle_enumerate(mat, params).biclusters == ()
 

@@ -87,6 +87,15 @@ def test_bicluster_rejects_empty():
         Bicluster([0], [])
 
 
+def test_bicluster_rejects_non_integer_indices():
+    # a float index is refused, not truncated; numpy ints become Python ints
+    for rows, cols in (([1.7, 2], [0]), ([1], [0.2]), ([1.0], [0])):
+        with pytest.raises(TypeError):
+            Bicluster(rows, cols)
+    b = Bicluster(np.array([3, 1], dtype=np.int32), np.arange(2))
+    assert b == ((1, 3), (0, 1)) and {type(x) for x in b.rows + b.cols} == {int}
+
+
 def test_bicluster_pickle_and_deepcopy_keep_normalization():
     b = Bicluster([3, 1, 1, 2], (5, 0))
     for twin in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
@@ -134,6 +143,21 @@ def test_params_defaults_and_errors():
         EnumParams(epsilon=1.0, min_row=0)
     with pytest.raises(ValueError):
         EnumParams(epsilon=1.0, min_col=0)
+
+
+def test_params_reject_non_integer_size_filters():
+    # a fractional filter would crash the cvc kernel's slicing or act as its
+    # ceiling in the bitmask walk; numpy ints stay accepted
+    for bic_type in ("cvc", "cvc-p", "chv"):
+        eps = 0.0 if bic_type.endswith("-p") else 0.5
+        with pytest.raises(ValueError, match="integers"):
+            EnumParams(eps, 2.5, 2, bic_type)
+        with pytest.raises(ValueError, match="integers"):
+            EnumParams(eps, 2, 2.0, bic_type)
+    with pytest.raises(ValueError, match="integers"):
+        EnumParams(0.5, "3", 2, "cvc")
+    p = EnumParams(0.5, np.int64(2), np.int32(2), "cvc")
+    assert len(enumerate_biclusters(np.zeros((3, 3)), p)) == 1
 
 
 def test_params_perfect_types_pin_epsilon_to_zero():
@@ -400,14 +424,14 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
     fits, canonical = rinclose.cvc._fits, rinclose.cvc._canonical_fast
     screen = rinclose.chv._screen
 
-    def counted_screen(values, eps, min_row):
-        out = screen(values, eps, min_row)
-        calls["screened"].append((len(out[0]), values.shape[1] * (values.shape[1] - 1) // 2))
+    def counted_screen(*args):
+        out = screen(*args)
+        calls["screened"].append((int(out.sum()), len(out)))
         return out
 
     def counted_fits(*args):
         out = fits(*args)
-        calls["windows"] += sum(map(len, out[3].values()))
+        calls["windows"] += sum(map(len, out[2].values()))
         return out
 
     def counted_canonical(*args):
@@ -429,27 +453,29 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
 
 def test_cvc_pins_a_walk_on_sparse_live_columns(monkeypatch):
     # two planted constant-column blocks in a uniform [0, 100] background:
-    # below the root only the block columns hold an eps-window of min_row
-    # rows, so the live column sets are sparse and scattered, and the kernel
-    # gathers them on cvc itself; nodes and bytes must not move (pinned from
-    # the walk that read every column)
+    # only the block columns hold an eps-window of min_row rows, so the
+    # screen keeps 7 of the 60 columns and the walk sees only those; the
+    # bytes must not move (pinned from the walk that read every column), and
+    # the min_col prune, which counts kept columns only, fires sooner, so
+    # the walk takes 105 nodes where that one took 108
     import rinclose.cvc
 
-    gathered = []
-    read = rinclose.cvc._read
+    screened = []
+    screen = rinclose.cvc._screen
 
-    def recording(values, rows, cols, lo, hi):
-        gathered.append(rinclose.cvc._GATHER * len(cols) < hi - lo)
-        return read(values, rows, cols, lo, hi)
+    def recording(*args):
+        out = screen(*args)
+        screened.append((int(out.sum()), len(out)))
+        return out
 
-    monkeypatch.setattr(rinclose.cvc, "_read", recording)
+    monkeypatch.setattr(rinclose.cvc, "_screen", recording)
     mat, _ = generate(GenConfig(n=120, m=60, num_bics=2, bic_rows=20, bic_cols=4, overlap=0.25,
                                 noise_sigma=0.05, seed=0, pattern="cvc"))
     sol = enumerate_biclusters(mat, EnumParams(0.1, 12, 2, "cvc"))
     digest = hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
     assert (sol.stats.nodes_expanded, len(sol), digest) == (
-        108, 75, "71a10218daccd2f7fe89c07c8a8cc604f811b55f30dc8049da004466f446a4d7")
-    assert any(gathered) and not all(gathered)
+        105, 75, "71a10218daccd2f7fe89c07c8a8cc604f811b55f30dc8049da004466f446a4d7")
+    assert screened == [(7, 60)]
 
 
 def test_emitted_biclusters_equal_normalized_ones():

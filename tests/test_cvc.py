@@ -29,22 +29,23 @@ def _augmented(values):
 # ---------------------------------------------------------------- windows
 
 
-def _listed(a, ids, absorb, fits, windows):
-    """_fits' verdicts as each read column's maximal eps-windows over the extent a:
-    an absorbed column holds one, the whole extent (if it has min_row rows), a
-    cut column those _fits lists, and a column that does not fit none."""
-    assert set(windows) <= set(ids[fits & ~absorb].tolist())  # only cut columns list windows
+def _listed(a, absorb, fits, windows):
+    """_fits' verdicts from column 0 as each column's maximal eps-windows over the
+    extent a: an absorbed column holds one, the whole extent (if it has min_row
+    rows), a cut column those _fits lists, and a column that does not fit none."""
+    # only cut columns list windows
+    assert set(windows) <= set(np.flatnonzero(fits & ~absorb).tolist())
     out = {}
-    for j, full, fit in zip(ids.tolist(), absorb.tolist(), fits.tolist()):
+    for j, (full, fit) in enumerate(zip(absorb.tolist(), fits.tolist())):
         out[j] = [a] if full and fit else windows.get(j, [])
         assert out[j] or not fit, j  # a cut column holds a window
     return out
 
 
-def _cut_windows(values, a, live, eps, min_row):
-    """Per live column, its windows over a as one _fits call lists them."""
-    out = _listed(a, *_fits(values, a, live, eps, min_row))
-    return [out[j] for j in live.tolist()]
+def _cut_windows(values, a, eps, min_row):
+    """Per column, its windows over a as one _fits call lists them."""
+    out = _listed(a, *_fits(values, a, 0, eps, min_row))
+    return [out[j] for j in range(values.shape[1])]
 
 
 def _window_rows(rows, eps):
@@ -52,7 +53,7 @@ def _window_rows(rows, eps):
     ids = np.array([r for r, _ in rows], dtype=np.intp)
     values = np.zeros((ids.max() + 1, 1))
     values[ids, 0] = [v for _, v in rows]
-    return [w.tolist() for w in _cut_windows(values, ids, np.zeros(1, dtype=np.intp), eps, 1)[0]]
+    return [w.tolist() for w in _cut_windows(values, ids, eps, 1)[0]]
 
 
 def test_windows_all_equal_values():
@@ -131,16 +132,16 @@ def test_fits_agrees_with_the_windows_at_ties():
                 # perm[r] of the sorted columns, where window p:e holds rows p..e-1
                 perm = rng.permutation(n)
                 block = cols[perm]
-                ids, absorb, fits, windows = _fits(block, a, np.arange(300), eps, min_row)
-                assert (ids == np.arange(300)).all()
+                absorb, fits, windows = _fits(block, a, 0, eps, min_row)
+                assert len(absorb) == len(fits) == 300
                 assert (absorb == (block.max(axis=0) - block.min(axis=0) <= eps)).all()
                 assert (fits == np.array([bool(w) for w in wide])).all(), (eps, min_row)
-                listed = _listed(a, ids, absorb, fits, windows)
+                listed = _listed(a, absorb, fits, windows)
                 for j, got in listed.items():
                     assert [sorted(perm[w].tolist()) for w in got] == [
                         list(range(p, e)) for p, e in wide[j]], (eps, min_row, j)
             # fewer rows than min_row: no column holds a window
-            ids, absorb, fits, windows = _fits(cols, a, np.arange(300), eps, n + 1)
+            absorb, fits, windows = _fits(cols, a, 0, eps, n + 1)
             assert not fits.any()
             assert windows == {}
 
@@ -161,7 +162,7 @@ def test_windows_do_not_depend_on_the_order_of_tied_rows():
             wide = _window_rows(list(enumerate(vals)), eps)
             for min_row in (1, 2, 3):
                 rows = rng.permutation(n)  # ties read in random order
-                got = _cut_windows(vals[rows, None], np.arange(n), np.zeros(1, dtype=np.intp), eps, min_row)[0]
+                got = _cut_windows(vals[rows, None], np.arange(n), eps, min_row)[0]
                 assert [sorted(rows[w].tolist()) for w in got] == [w for w in wide if len(w) >= min_row], (
                     vals, eps, min_row)
 
@@ -187,14 +188,13 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
         for eps in _tie_epsilons(narrow, rng):
             for min_row in (1, 2, 3):
                 for mat in sources:
-                    ids = np.sort(rng.choice(mat.shape[1], size=min(mat.shape[1], 11), replace=False))
+                    y = int(rng.integers(mat.shape[1]))  # the first column read
                     subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
                     for a in (np.arange(n), subset):
-                        # an extent of every row is the root's: it reads
-                        # slice(None), and every column is live there
-                        live = ids if len(a) < n else np.arange(mat.shape[1])
-                        read, absorb, fits, windows = _fits(mat, a, live, eps, min_row)
-                        assert set(live.tolist()) <= set(read.tolist())
+                        # an extent of every row is the root's: it reads slice(None)
+                        absorb, fits, windows = _fits(mat, a, y, eps, min_row)
+                        assert len(absorb) == len(fits) == mat.shape[1] - y
+                        read = y + np.arange(len(absorb))  # the ids read, from y on
                         assert set(windows) == set(read[fits & ~absorb].tolist())
                         for j, full, fit in zip(read.tolist(), absorb, fits):
                             got = windows.get(j, [])
@@ -239,11 +239,11 @@ def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
     def recorded_mine(values, *args):
         return mine(Recorded(values), *args)
 
-    def counted_fits(values, a, live, eps, min_row):
-        fitted.append(len(live))
+    def counted_fits(values, a, y, eps, min_row):
+        fitted.append(values.shape[1] - y)
         inside.append(True)
         try:
-            return fits(values, a, live, eps, min_row)
+            return fits(values, a, y, eps, min_row)
         finally:
             inside.pop()
 
@@ -272,9 +272,8 @@ def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
 
 
 def _canonical(values, rw, b, j, eps):
-    # every column < j live: the scan a root's child gets
     return _canonical_fast(np.asarray(values, dtype=float), np.asarray(rw, dtype=np.intp),
-                           sum(1 << k for k in b), np.arange(j), eps)
+                           sum(1 << k for k in b), j, eps)
 
 
 def test_canonical_no_earlier_attributes():
@@ -293,42 +292,33 @@ def test_canonical_ignores_intent_columns(table1):
 
 
 def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
-    # the kernel scans only the columns < j that can still hold an eps-window
-    # of min_row rows; on every call, the full scan over all columns < j
-    # (the rule: no column outside the intent has range <= eps over the
-    # child) must give the same verdict.  j is the column being cut, a local
-    # of the kernel's frame.  Decimal values with epsilon on a difference and
-    # its float neighbours, through cvc, cvr (the transpose) and chv (the
-    # augmented matrix); the scan must both slice and gather its columns
-    import sys
-
+    # the kernel's matrix holds only the live columns, those the screen
+    # keeps, and a child's canonicity test reads its columns < j _BLOCK at a
+    # time; on every call, the full scan over all columns < j (the rule: no
+    # column outside the intent has range <= eps over the child) must give
+    # the same verdict.  Decimal values with epsilon on a difference and its
+    # float neighbours, through cvc, cvr (the transpose) and chv (the
+    # augmented matrix), read in blocks of 3 columns and of 256
     import rinclose.cvc
 
-    scan, read = rinclose.cvc._canonical_fast, rinclose.cvc._read
-    reads = []
+    scan = rinclose.cvc._canonical_fast
+    seams = []  # whether a test read more than one block
 
-    def checked(values, rw, b, live, eps):
-        j = sys._getframe(1).f_locals["j"]
+    def checked(values, rw, b, j, eps):
         full = all(b >> c & 1 or values[rw, c].max() - values[rw, c].min() > eps for c in range(j))
-        verdict = scan(values, rw, b, live, eps)
-        assert verdict == full, (values, rw.tolist(), b, j, live.tolist(), eps)
+        verdict = scan(values, rw, b, j, eps)
+        assert verdict == full, (values, rw.tolist(), b, j, eps)
+        seams.append(j > rinclose.cvc._BLOCK)
         return verdict
 
-    def recording(values, rows, cols, lo, hi):
-        if sys._getframe(1).f_code.co_name == "_canonical_fast":
-            reads.append("gather" if rinclose.cvc._GATHER * len(cols) < hi - lo else "slice")
-        return read(values, rows, cols, lo, hi)
-
     monkeypatch.setattr(rinclose.cvc, "_canonical_fast", checked)
-    monkeypatch.setattr(rinclose.cvc, "_read", recording)
     rng = np.random.default_rng(59)
-    for _ in range(16):
+    for i in range(16):
+        monkeypatch.setattr(rinclose.cvc, "_BLOCK", (3, 256)[i % 2])
         n, m = int(rng.integers(6, 11)), int(rng.integers(6, 15))
         # a few narrow columns among wide ones: windows form in the narrow
-        # columns only, and epsilon is a difference there, so the live sets
-        # below the root are sparse and scattered, sparse enough for a
-        # gather mostly on cvc and cvr (chv walks only the pairs that hold
-        # a window over all rows)
+        # columns only, and epsilon is a difference there, so the screen
+        # keeps few columns of each kernel matrix
         narrow = rng.random(m) < 0.2
         narrow[int(rng.integers(m))] = True
         vals = rng.integers(0, np.where(narrow, 30, 1000), size=(n, m)) / 10
@@ -341,7 +331,7 @@ def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
                     params = (EnumParams(eps, 1, min_row, bt) if bt == "cvr"
                               else EnumParams(eps, min_row, 1 + 2 * (bt == "chv"), bt))
                     enumerate_biclusters(vals, params)
-    assert {"slice", "gather"} <= set(reads), set(reads)
+    assert any(seams) and not all(seams)
 
 
 # ---------------------------------------------------------------- row maximality
@@ -578,9 +568,9 @@ def test_registry_drops_extents_that_pass_canonicity_again(monkeypatch):
     passes: dict[bytes, int] = {}
     registered: set[bytes] = set()
 
-    def counting(values, rw, b, live, eps):
+    def counting(values, rw, b, j, eps):
         assert rw.tobytes() not in registered
-        ok = _canonical_fast(values, rw, b, live, eps)
+        ok = _canonical_fast(values, rw, b, j, eps)
         if ok:
             passes[rw.tobytes()] = passes.get(rw.tobytes(), 0) + 1
         return ok
