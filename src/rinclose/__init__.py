@@ -8,10 +8,10 @@ constant columns/rows with residue epsilon (``cvc``/``cvr``, perfect variants
 ``enumerate_biclusters(matrix, params)`` is the one mining entry point: it
 returns the exact set of maximal biclusters meeting the size filters, each
 one exactly once, in canonical order.  ``ALGORITHMS`` is its dispatch table
-from bic type to a private miner working on the plain value array; each
-miner runs one of two walks, the bitmask walk of ``inclose2`` (perfect
-types) or the numeric kernel of ``cvc`` (perturbed types), and the row
-types are the column types through one transpose rule.
+from bic type to a private miner working on the plain value array; every
+miner runs the one closure walk ``inclose2._walk``, its nodes expanded over
+bitmask groups (perfect types) or numeric windows (``cvc``, perturbed
+types), and the row types are the column types through one transpose rule.
 """
 
 import dataclasses

@@ -24,6 +24,7 @@ Indices are 0-based everywhere, including file formats.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -143,8 +144,8 @@ class EnumParams:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.bic_type == "ctv-binary" and self.model != "shift":
             raise ValueError("bic_type 'ctv-binary' mines 0/1 cells as given; use model 'shift'")
-        if not (self.epsilon >= 0.0) or not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be a finite nonnegative real, got {self.epsilon}")
+        if not (isinstance(self.epsilon, numbers.Real) and 0.0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be a finite nonnegative real, got {self.epsilon!r}")
         for size in (self.min_row, self.min_col):
             try:
                 operator.index(size)

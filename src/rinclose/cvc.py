@@ -27,13 +27,13 @@ The registry and the row-maximality test are needed only because
 epsilon-windows overlap.  At epsilon = 0 neither fires and canonicity
 alone suffices, so the perfect types run the bitmask walk of ``inclose2``
 on precomputed groups instead, and this kernel serves epsilon > 0 only.
-Called with epsilon = 0 it walks the same tree as that walk; the tests use
-this to cross-check the two.  The registry is a plain set of extent bytes,
-and the walk's one duplicate guard: an emitted extent is the root's or a
-registered child's, and no child holds every row of its parent (a window
-over the whole extent is absorbed, not cut), so none is emitted twice.  A
-node's intent is one column bitmask, and the emitted ones are decoded
-into column tuples once, when the walk ends (``inclose2._decode``).
+Both expand the nodes of one traversal, ``inclose2._walk``; at epsilon = 0
+this one walks the same tree, which the tests use to cross-check the two.
+The registry is a plain set of extent bytes, and the walk's one duplicate
+guard: an emitted extent is the root's or a registered child's, and no
+child holds every row of its parent (a window over the whole extent is
+absorbed, not cut), so none is emitted twice.  The emitted intent masks
+are decoded into column tuples when the walk ends (``inclose2._decode``).
 
 Each node sorts its extent's values once, column by column from its start
 attribute (values only, _BLOCK columns at a time), and reads every test
@@ -98,7 +98,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import EnumParams
-from .inclose2 import _bits, _decode
+from .inclose2 import _bits, _decode, _walk
 
 _BLOCK = 256  # columns per read and sort in _fits and _canonical_fast
 
@@ -243,7 +243,7 @@ def _fits(
 def _mine_cvc(
     values: np.ndarray, eps: float, min_row: int, min_col: int
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    """Core walk shared by the perturbed bicluster types.
+    """The walk of the perturbed types: ``inclose2._walk`` with this node expansion.
 
     Returns (list of (rows, cols) pairs, node count), no extent twice; a
     matrix of no columns has neither.  A node cuts its cut columns in the
@@ -260,31 +260,18 @@ def _mine_cvc(
     # later under a stronger intent that no outside row can join, and that
     # later child is the one that emits the bicluster
     seen: set[bytes] = set()
-    extents: list[tuple[int, ...]] = []
-    intents: list[int] = []  # emitted intent masks, decoded when the walk ends
-    nodes = 0
-    # stack entries: (extent row ids sorted, inherited intent mask, start attr)
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n, dtype=np.intp), 0, 0)]
-    while stack:
-        a, b, y = stack.pop()
-        nodes += 1
-        # the cut columns' windows are listed before the scan: an intent
-        # column has range <= eps over a superset of the extent, so it is
-        # absorbed, never cut.  A column that neither joins the intent nor
-        # holds a window of min_row rows creates no child, so the scan
-        # passes over it; the min_col prune could fire on such a column only
-        # when the intent is already too short to emit, and then fires on
-        # the next one scanned
+
+    def expand(a: np.ndarray, b: int, y: int):
+        # the cut columns' windows are listed before the scan, which passes
+        # over every column neither absorbed nor cut (exact: module docstring)
         absorb, fits, windows = _fits(values, a, y, eps, min_row)
         children: list[tuple[np.ndarray, int]] = []
         cut: set[bytes] = set()  # extents of the windows this node has cut
-        pruned = False
         for j in (y + np.flatnonzero(absorb | fits)).tolist():
             if b >> j & 1:
                 continue
             if b.bit_count() + (m - j) < min_col:
-                pruned = True
-                break
+                return b, children, False
             if absorb[j - y]:
                 b |= 1 << j
                 continue
@@ -299,12 +286,10 @@ def _mine_cvc(
                     continue
                 seen.add(key)
                 children.append((rw, j))
-        if not pruned and len(a) >= min_row and b.bit_count() >= min_col:
-            extents.append(tuple(a.tolist()))
-            intents.append(b)
-        for rw, j in reversed(children):
-            stack.append((rw, b | 1 << j, j + 1))
-    return list(zip(extents, _decode(intents, m))), nodes
+        return b, children, len(a) >= min_row and b.bit_count() >= min_col
+
+    extents, intents, nodes = _walk(np.arange(n, dtype=np.intp), 0, expand)
+    return [(tuple(a.tolist()), c) for a, c in zip(extents, _decode(intents, m))], nodes
 
 
 def _cvc(values: np.ndarray, params: EnumParams):

@@ -8,26 +8,25 @@ group is kept as a row bitmask only if it has at least min_row rows.  A
 smaller group can neither become a child nor cover one in the canonicity
 test, since every child has min_row rows or more.
 
-The walk visits nodes depth-first in lexicographic attribute order.  At each
-node attributes are scanned from the node's start attribute: an attribute is
-absorbed into the intent when one of its groups holds the whole extent;
-otherwise each group the extent meets in at least min_row rows becomes a
-child, kept only if it passes the canonicity test (no earlier non-intent
-attribute has a group covering it -- that child belongs to an earlier
-subtree).  A child's covering group, if any, is the group of its lowest
-row, so that test is one lookup per earlier attribute.  When a column has
-more groups than the extent has rows, only the groups the extent's rows hit
-are visited: the rows are tallied by group, and only a group holding
-min_row of them is intersected with the extent; this keeps columns of many
-small groups (near-continuous data at a small min_row) linear in the
-extent, not in the number of groups or in the bit length of the masks.
-The group scan of a column also stops once fewer than min_row rows of the
-extent are left unplaced.  Children inherit
-the parent's fully closed intent without recomputation.  Groups are
-disjoint, so no extent is reached twice and no registry or row-maximality
-test is needed.  A node's extent is a row bitmask and its intent a
-column bitmask; the walk keeps the emitted masks and decodes all of them
-into index tuples once, when it ends (``_decode``).
+The walk is ``_walk``, the one traversal, which ``cvc``'s kernel shares;
+this module supplies its node expansion.  A node scans attributes from its
+start attribute: an attribute is absorbed into the intent when one of its
+groups holds the whole extent; otherwise each group the extent meets in at
+least min_row rows becomes a child, kept only if it passes the canonicity
+test (no earlier non-intent attribute has a group covering it -- that
+child belongs to an earlier subtree).  A child's covering group, if any,
+is the group of its lowest row, so that test is one lookup per earlier
+attribute.  When a column has more groups than the extent has rows, only
+the groups the extent's rows hit are visited: the rows are tallied by
+group, and only a group holding min_row of them is intersected with the
+extent; this keeps columns of many small groups (near-continuous data at a
+small min_row) linear in the extent, not in the number of groups or in the
+bit length of the masks.  The group scan of a column also stops once fewer
+than min_row rows of the extent are left unplaced.  Groups are disjoint,
+so no extent is reached twice and no registry or row-maximality test is
+needed.  A node's extent is a row bitmask and its intent a column bitmask;
+the emitted masks are decoded into index tuples once, when the walk ends
+(``_decode``).
 
 Every perfect type runs this walk: ``cvc-p`` on the matrix, ``cvr-p`` on its
 transpose (the dispatch table's transpose rule), ``chv-p`` once per pivot
@@ -132,18 +131,39 @@ def _value_groups(values: np.ndarray, min_row: int) -> tuple[np.ndarray, list[li
     return gid.T, [masks[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
+def _walk(root, start: int, expand) -> tuple[list, list[int], int]:
+    """The closure walk from (root, no intent, start), depth-first in lexicographic
+    attribute order; returns the emitted extents and intent masks and the node count.
+
+    expand(a, b, y) scans the node's attributes from y on and returns its
+    closed intent, its children in scan order as (extent, j), and whether it
+    is emitted: if it has min_row rows and min_col intent attributes, and
+    was not abandoned (scan stopped) because its intent could not reach
+    min_col even with every remaining attribute.  The children created
+    before that point are still explored, since they keep their own chances
+    from their earlier branch attributes.  A child inherits the closed
+    intent plus attribute j and starts at j + 1.
+    """
+    extents, intents, nodes = [], [], 0
+    stack = [(root, 0, start)]
+    while stack:
+        a, b, y = stack.pop()
+        nodes += 1
+        b, children, emit = expand(a, b, y)
+        if emit:
+            extents.append(a)
+            intents.append(b)
+        for g, j in reversed(children):
+            stack.append((g, b | 1 << j, j + 1))
+    return extents, intents, nodes
+
+
 def _mine_groups(
     values: np.ndarray, min_row: int, min_col: int, start: int = 0
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """Maximal constant-column biclusters at epsilon = 0; returns (pairs, node count).
 
-    The bitmask closure walk over the value groups of ``_value_groups``.
-    The root scans attributes from ``start`` on.
-
-    A node is abandoned (no emission, attribute scan stopped) as soon as its
-    intent cannot reach min_col even if every remaining attribute were added;
-    children created before that point are still explored, since they keep
-    their own chances from their earlier branch attributes.
+    ``_walk`` over the value groups of ``_value_groups``, from attribute ``start``.
     """
     gid, groups = _value_groups(values, min_row)
     # cover[r][j]: the bitmask of row r's group in column j, 0 if it has none
@@ -152,24 +172,16 @@ def _mine_groups(
     lut[-1] = 0  # gid -1 reads the empty mask
     cover = lut[gid].tolist()
     n, m = values.shape
-    extents: list[int] = []  # emitted extent and intent masks, decoded when the walk ends
-    intents: list[int] = []
-    nodes = 0
-    # stack entries: (extent mask, inherited intent mask, start attribute)
-    stack: list[tuple[int, int, int]] = [((1 << n) - 1, 0, start)]
-    while stack:
-        a, b, y = stack.pop()
-        nodes += 1
+
+    def expand(a: int, b: int, y: int):
         size = a.bit_count()
         rows = None  # the extent's rows, listed when a column needs them
         children: list[tuple[int, int]] = []
-        pruned = False
         for j in range(y, m):
             if b >> j & 1:
                 continue
             if b.bit_count() + (m - j) < min_col:
-                pruned = True
-                break
+                return b, children, False
             gs = groups[j]
             if len(gs) > size:
                 # more groups than rows: tally the groups the rows hit (a
@@ -204,11 +216,9 @@ def _mine_groups(
                 left -= k
                 if left < min_row:
                     break
-        if not pruned and size >= min_row and b.bit_count() >= min_col:
-            extents.append(a)
-            intents.append(b)
-        for rw, j in reversed(children):
-            stack.append((rw, b | 1 << j, j + 1))
+        return b, children, size >= min_row and b.bit_count() >= min_col
+
+    extents, intents, nodes = _walk((1 << n) - 1, start, expand)
     return list(zip(_decode(extents, n), _decode(intents, m))), nodes
 
 

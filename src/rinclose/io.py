@@ -24,8 +24,8 @@ def load_matrix(path) -> NumericMatrix:
 
     Blank, whitespace-only and ``#`` comment lines and a UTF-8 byte order
     mark are passed over.  The cell separator is sniffed from the first data
-    line: a comma, tab or semicolon, else any whitespace.  A ragged data row
-    is reported by its number among the data rows and both cell counts.
+    line: a comma, tab or semicolon, else any whitespace.  A ragged row or a
+    cell that is no number is reported by its data row, numbered from 1.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -40,6 +40,10 @@ def load_matrix(path) -> NumericMatrix:
         if ragged := _RAGGED.search(str(exc)):  # numpy's wording adds advice on usecols
             was, now, row = ragged.groups()
             exc = f"data row {row} has {now} cells where the rows before it have {was}"
+        elif cell := re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)",
+                               str(exc)):  # numpy counts these rows from 0
+            text, row, col = cell.groups()
+            exc = f"data row {int(row) + 1}, cell {col}: could not convert {text}"
         raise ValueError(f"could not parse numeric matrix from {path}: {exc}") from None
     return NumericMatrix(arr)
 

@@ -212,6 +212,23 @@ def test_the_screen_runs_in_float64_where_float32_cannot_hold_the_values():
                 assert found.biclusters == oracle_enumerate(vals, params).biclusters
 
 
+def test_the_screen_bound_holds_its_subnormal_term():
+    # cells near 1e-44 are float32 subnormals, whose casts err by up to
+    # 2^-150 each, far above 2^-21 of their magnitude: without the 2^-140
+    # term of the bound the screen drops the one pair that holds the
+    # bicluster, and the engine finds nothing where the oracle finds it
+    vals = np.array([
+        [1.5960205733236243e-44, 2.2068453483104528e-44],
+        [9.547331682959049e-45, 2.881528080415492e-44],
+        [9.123080709563933e-45, 4.851104156952118e-45],
+    ])
+    params = EnumParams(1.03802243024801e-44, 2, 2, "chv")
+    assert _screen(vals, params.epsilon, 2, _pair_blocks).tolist() == [True]
+    found = enumerate_biclusters(vals, params)
+    assert [(b.rows, b.cols) for b in found.biclusters] == [((0, 2), (0, 1))]
+    assert found.biclusters == oracle_enumerate(vals, params).biclusters
+
+
 def test_the_screen_leaves_the_callers_array_as_it_was():
     # the screen sorts its own copy: an F-ordered input's transpose is
     # C-contiguous, so a copy only where one is needed would sort the

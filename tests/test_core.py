@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +160,19 @@ def test_params_reject_non_integer_size_filters():
         EnumParams(0.5, "3", 2, "cvc")
     p = EnumParams(0.5, np.int64(2), np.int32(2), "cvc")
     assert len(enumerate_biclusters(np.zeros((3, 3)), p)) == 1
+
+
+def test_params_reject_an_epsilon_that_is_no_real_number():
+    # a Decimal would get through and stop mining inside the cvc screen with
+    # a TypeError, and a str would raise TypeError here; numpy floats and
+    # Fractions are numbers.Real and stay accepted, and mine as the oracle does
+    for eps in (Decimal("0.1"), "0.1", None, 1j):
+        with pytest.raises(ValueError, match="epsilon must be a finite nonnegative real"):
+            EnumParams(eps, 2, 1, "cvc")
+    vals = np.array([[0.0, 1.0], [0.1, 1.0], [0.5, 2.0], [0.55, 2.0]])
+    for eps in (Fraction(1, 10), np.float64(0.1), np.float32(0.1)):
+        p = EnumParams(eps, 2, 1, "cvc")
+        assert enumerate_biclusters(vals, p).biclusters == oracle_enumerate(vals, p).biclusters
 
 
 def test_params_perfect_types_pin_epsilon_to_zero():

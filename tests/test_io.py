@@ -94,6 +94,25 @@ def test_load_matrix_reports_a_ragged_row(tmp_path):
         ), repr(text)
 
 
+def test_load_matrix_reports_a_cell_that_is_no_number_by_its_data_row(tmp_path):
+    # numbered as a ragged row is: among the data rows, from 1, so blank and
+    # comment lines do not shift it; the cell is numbered from 1 as well
+    path = tmp_path / "bad.csv"
+    for text, row, cell, raw in (
+        ("1,2\n3,4\n5,zz\n", 3, 2, "zz"),
+        ("zz,2\n3,4\n", 1, 1, "zz"),
+        ("# c\n\n1 2 3\n\n# d\n4 5e 6\n", 2, 2, "5e"),
+        ("1\t2\n3\tx y\n", 2, 2, "x y"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_matrix(path)
+        assert str(info.value) == (
+            f"could not parse numeric matrix from {path}: "
+            f"data row {row}, cell {cell}: could not convert '{raw}'"
+        ), repr(text)
+
+
 def test_solution_roundtrip(tmp_path):
     bics = [Bicluster([2, 0], [1]), Bicluster([1], [0, 3])]
     path = tmp_path / "sol.json"
