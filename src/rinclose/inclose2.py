@@ -15,18 +15,22 @@ groups holds the whole extent; otherwise each group the extent meets in at
 least min_row rows becomes a child, kept only if it passes the canonicity
 test (no earlier non-intent attribute has a group covering it -- that
 child belongs to an earlier subtree).  A child's covering group, if any,
-is the group of its lowest row, so that test is one lookup per earlier
-attribute.  When a column has more groups than the extent has rows, only
-the groups the extent's rows hit are visited: the rows are tallied by
-group, and only a group holding min_row of them is intersected with the
-extent; this keeps columns of many small groups (near-continuous data at a
-small min_row) linear in the extent, not in the number of groups or in the
-bit length of the masks.  The group scan of a column also stops once fewer
-than min_row rows of the extent are left unplaced.  Groups are disjoint,
-so no extent is reached twice and no registry or row-maximality test is
-needed.  A node's extent is a row bitmask and its intent a column bitmask;
-the emitted masks are decoded into index tuples once, when the walk ends
-(``_decode``).
+is the group of its lowest row r, so that test is one lookup per earlier
+attribute, made only where r and the child's highest row h share a group:
+the two rows' live-column masks (the attributes where the row is in a
+group) and the bit planes of their groups' ranks within each column find
+those attributes in a few int operations per child.  A covering group
+holds both rows, so this prefilter drops no rejection.  When a column has
+more groups than the extent has rows, only the groups the extent's rows
+hit are visited: the rows are tallied by group, and only a group holding
+min_row of them is intersected with the extent; this keeps columns of many
+small groups (near-continuous data at a small min_row) linear in the
+extent, not in the number of groups or in the bit length of the masks.
+The group scan of a column also stops once fewer than min_row rows of the
+extent are left unplaced.  Groups are disjoint, so no extent is reached
+twice and no registry or row-maximality test is needed.  A node's extent
+is a row bitmask and its intent a column bitmask; the emitted masks are
+decoded into index tuples once, when the walk ends (``_decode``).
 
 Every perfect type runs this walk: ``cvc-p`` on the matrix, ``cvr-p`` on its
 transpose (the dispatch table's transpose rule), ``chv-p`` once per pivot
@@ -58,22 +62,32 @@ def _bits(mask: int):
 def _decode(masks: list[int], n: int) -> list[tuple[int, ...]]:
     """``[tuple(_bits(a)) for a in masks]``, the n-bit masks decoded by numpy.
 
-    A slice of masks at a time (under _DECODE_BYTES packed) is written into
-    one byte buffer; its non-zero bytes are unpacked to bits, and the set
-    bits, listed in one pass, are cut into tuples by the masks' bit counts.
+    Each distinct mask is decoded once, so equal masks share one tuple, and
+    the tuples take their indices from one table of the ints 0..n-1, so an
+    index is one shared int wherever it occurs.  A slice of the distinct
+    masks at a time (under _DECODE_BYTES packed) is written into one byte
+    buffer; its non-zero bytes are unpacked to bits, and the set bits,
+    listed in one pass, are cut into tuples by the masks' bit counts.
     """
     width = (n + 7) // 8
     step = max(1, _DECODE_BYTES // width)
-    out: list[tuple[int, ...]] = []
-    for lo in range(0, len(masks), step):
-        chunk = masks[lo : lo + step]
+    index = np.array(range(n), dtype=object)
+    decoded = dict.fromkeys(masks)
+    distinct = list(decoded)
+    for lo in range(0, len(distinct), step):
+        chunk = distinct[lo : lo + step]
         buf = np.frombuffer(b"".join([a.to_bytes(width, "little") for a in chunk]), np.uint8)
         nz = np.flatnonzero(buf != 0)
         hit = np.flatnonzero(np.unpackbits(buf[nz], bitorder="little").view(bool))
-        rows = (((nz % width) << 3)[hit >> 3] | (hit & 7)).tolist()
+        rows = index[((nz % width) << 3)[hit >> 3] | (hit & 7)].tolist()
         ends = np.cumsum([a.bit_count() for a in chunk]).tolist()
-        out += [tuple(rows[s:e]) for s, e in zip([0, *ends], ends)]
-    return out
+        decoded.update(zip(chunk, [tuple(rows[s:e]) for s, e in zip([0, *ends], ends)]))
+    return [decoded[a] for a in masks]
+
+
+def _rows_as_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 array as an int, column j at bit j."""
+    return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
 def _masks(g: np.ndarray, rows: np.ndarray, count: int, n: int) -> list[int]:
@@ -102,8 +116,7 @@ def _masks(g: np.ndarray, rows: np.ndarray, count: int, n: int) -> list[int]:
         a, b = np.searchsorted(g, (sel[0], sel[-1] + 1))
         hot = np.zeros((len(sel), n), dtype=bool)
         hot[np.searchsorted(sel, g[a:b]), rows[a:b]] = True
-        for k, row in zip(sel.tolist(), np.packbits(hot, axis=1, bitorder="little")):
-            out[k] = int.from_bytes(row, "little")
+        out[sel] = _rows_as_ints(hot)
     return out.tolist()
 
 
@@ -172,6 +185,11 @@ def _mine_groups(
     lut[-1] = 0  # gid -1 reads the empty mask
     cover = lut[gid].tolist()
     n, m = values.shape
+    # live[r]: the columns where row r is in a group; planes[k][r]: the
+    # columns where bit k of the rank of r's group within its column is set
+    rank = np.where(gid >= 0, gid - np.cumsum([0, *map(len, groups)])[:-1], 0)
+    live = _rows_as_ints(gid >= 0)
+    planes = [_rows_as_ints(rank >> k & 1) for k in range(int(rank.max(initial=0)).bit_length())]
 
     def expand(a: int, b: int, y: int):
         size = a.bit_count()
@@ -209,9 +227,19 @@ def _mine_groups(
                         break
                     # canonicity: an earlier non-intent attribute covering g
                     # means this extent was (or will be) produced in an
-                    # earlier subtree
-                    c = cover[(g & -g).bit_length() - 1]
-                    if not any(g & c[e] == g for e in range(j) if not b >> e & 1):
+                    # earlier subtree; only the attributes where g's lowest
+                    # and highest rows share a group can cover it
+                    r, h = (g & -g).bit_length() - 1, g.bit_length() - 1
+                    same = live[r] & live[h] & ~b & ((1 << j) - 1)
+                    for p in planes:
+                        same &= ~(p[r] ^ p[h])
+                    c = cover[r]
+                    while same:
+                        e = same & -same
+                        if g & c[e.bit_length() - 1] == g:
+                            break
+                        same ^= e
+                    else:
                         children.append((g, j))
                 left -= k
                 if left < min_row:

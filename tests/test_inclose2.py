@@ -165,6 +165,34 @@ def test_group_walk_matches_the_kernel_on_chv_p_pivots():
                     assert sorted(seeded) == sorted(first)
 
 
+def test_canonicity_prefilter_at_its_edges():
+    # a child is tested for canonicity only on the earlier columns where its
+    # lowest and highest rows share a group, found from each row's live
+    # columns and the bit planes of its groups' ranks; the walks must still
+    # agree where that is stretched: columns of 9 or more groups (4 or more
+    # rank planes), NaN cells (no live bit), one-row children (lowest row =
+    # highest row) and chv-p pivots started past column 0
+    rng = np.random.default_rng(83)
+    for t in range(8):
+        n, m = int(rng.integers(40, 57)), int(rng.integers(4, 8))
+        values = rng.integers(0, 12, size=(n, m)).astype(float)
+        if t % 2:
+            values[rng.random((n, m)) < 0.2] = np.nan
+        for min_row in (1, 2, 3):
+            if min_row < 3:
+                assert max(map(len, _value_groups(values, min_row)[1])) >= 9
+            pairs, _ = _assert_walks_agree(values, min_row, 1)
+            if min_row == 1:
+                assert any(len(rows) == 1 for rows, _ in pairs)
+            _assert_walks_agree(values.T, 1, min_row)
+            for atr in range(1, m - 1):
+                z = values[:, [atr]] - values
+                pairs, _ = _assert_walks_agree(z, min_row, 2)
+                if not (np.ptp(z[:, :atr], axis=0) == 0.0).any():
+                    seeded, _ = _mine_groups(z, min_row, 2, start=atr)
+                    assert sorted(seeded) == sorted(p for p in pairs if p[1][0] == atr)
+
+
 def test_group_walk_visits_only_hit_groups():
     # column 1 has seven groups at min_row 1, more than the four rows of the
     # extent {0, 1, 2, 3} that column 0 splits off, so only the groups those
@@ -291,6 +319,30 @@ def test_decode_across_chunk_seams(monkeypatch):
     step = _DECODE_BYTES // ((n + 7) // 8)
     masks = [(k * 2654435761) % (1 << n) | 1 for k in range(step + 1)]
     _decoded_like_bits(masks, n)
+
+
+def test_decode_shares_equal_masks_and_indices(monkeypatch):
+    # equal masks (distinct int objects) decode to one tuple, and each index
+    # is one int object wherever it occurs; above 256, where CPython keeps no
+    # shared small ints, and across chunk seams
+    n = 600
+    rng = np.random.default_rng(13)
+    kinds = [int.from_bytes(rng.bytes(75), "little") | 1 << 599 | 1 << 300 for _ in range(6)]
+    masks = [int.from_bytes(kinds[k].to_bytes(75, "little"), "little")
+             for k in rng.integers(0, 6, size=30)]
+    assert len(set(map(id, masks))) == len(masks)  # equal masks, but no shared object
+    for budget in (_DECODE_BYTES, 75, 160):  # one chunk, one mask a chunk, two a chunk
+        monkeypatch.setattr(inclose2, "_DECODE_BYTES", budget)
+        rows = _decode(masks, n)
+        _decoded_like_bits(masks, n)
+        first = {}
+        for a, t in zip(masks, rows):
+            assert first.setdefault(a, t) is t
+        assert len(first) == 6
+        index = {}
+        for t in rows:
+            assert all(index.setdefault(r, r) is r for r in t)
+        assert max(index) == 599 and 300 in index
 
 
 @settings(max_examples=100, deadline=None)
