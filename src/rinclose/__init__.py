@@ -74,9 +74,11 @@ def enumerate_biclusters(matrix, params: EnumParams) -> BiclusterSolution:
     ``sort_biclusters``.  The matrix is mapped into model space first
     (``scale`` takes logs), and the stats carry the node count and the wall
     time of the whole call.  The miner's (rows, cols) tuples are sorted as
-    they are (tuple order is the canonical order) and become ``Bicluster``
-    named tuples through ``_make``, without being normalized again, since
-    every miner emits sorted, unique Python ints.
+    they are (tuple order is the canonical order; the perfect miners hand
+    over runs already in it, up to ties deep in the rows, which the sort
+    passes at about one compare a pair) and become ``Bicluster`` named
+    tuples through ``_make``, without being normalized again, since every
+    miner emits sorted, unique Python ints.
     """
     t0 = time.perf_counter()
     values = transform_for_model(matrix, params.model).values

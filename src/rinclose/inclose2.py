@@ -20,17 +20,16 @@ attribute, made only where r and the child's highest row h share a group:
 the two rows' live-column masks (the attributes where the row is in a
 group) and the bit planes of their groups' ranks within each column find
 those attributes in a few int operations per child.  A covering group
-holds both rows, so this prefilter drops no rejection.  When a column has
-more groups than the extent has rows, only the groups the extent's rows
-hit are visited: the rows are tallied by group, and only a group holding
-min_row of them is intersected with the extent; this keeps columns of many
-small groups (near-continuous data at a small min_row) linear in the
-extent, not in the number of groups or in the bit length of the masks.
-The group scan of a column also stops once fewer than min_row rows of the
-extent are left unplaced.  Groups are disjoint, so no extent is reached
-twice and no registry or row-maximality test is needed.  A node's extent
-is a row bitmask and its intent a column bitmask; the emitted masks are
-decoded into index tuples once, when the walk ends (``_decode``).
+holds both rows, so this prefilter drops no rejection.  A column's groups
+are peeled off the extent's rows that are in one, the group of the highest
+row left first (one ``bit_length``), so only the groups the extent hits
+are visited, until fewer than min_row rows are left; columns of many small
+groups (near-continuous data at a small min_row) stay linear in the extent.
+Groups are disjoint, so no extent is reached twice and no registry or
+row-maximality test is needed.  A node's extent is a row bitmask and its
+intent a column bitmask; when the walk ends, the emitted masks are decoded
+into index tuples and handed over in tuple order, up to ties deep in the
+rows (``_pairs``).
 
 Every perfect type runs this walk: ``cvc-p`` on the matrix, ``cvr-p`` on its
 transpose (the dispatch table's transpose rule), ``chv-p`` once per pivot
@@ -48,7 +47,8 @@ import numpy as np
 from .core import EnumParams
 
 _HOT_CELLS = 1 << 22  # bytes of the 0/1 scratch block _masks packs at a time
-_DECODE_BYTES = 1 << 16  # bytes of packed extent masks _decode unpacks at a time
+_DECODE_BYTES = 1 << 16  # bytes of packed masks _unpack unpacks at a time
+_KEY_BYTES = 1 << 18  # bytes of the sort-key block _pairs fills
 
 
 def _bits(mask: int):
@@ -59,30 +59,56 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _decode(masks: list[int], n: int) -> list[tuple[int, ...]]:
-    """``[tuple(_bits(a)) for a in masks]``, the n-bit masks decoded by numpy.
+def _unpack(masks: list[int], n: int):
+    """Yield (offset, set bits, bit counts, tuples) per slice of the n-bit masks.
 
-    Each distinct mask is decoded once, so equal masks share one tuple, and
-    the tuples take their indices from one table of the ints 0..n-1, so an
-    index is one shared int wherever it occurs.  A slice of the distinct
-    masks at a time (under _DECODE_BYTES packed) is written into one byte
-    buffer; its non-zero bytes are unpacked to bits, and the set bits,
-    listed in one pass, are cut into tuples by the masks' bit counts.
+    A slice (under _DECODE_BYTES packed) is written into one byte buffer;
+    its non-zero bytes are unpacked to bits, listed in one pass as one intp
+    array and cut by the bit counts into tuples, ``tuple(_bits(a))`` each,
+    whose indices come from one table of the ints 0..n-1 (one shared int each).
     """
     width = (n + 7) // 8
     step = max(1, _DECODE_BYTES // width)
     index = np.array(range(n), dtype=object)
-    decoded = dict.fromkeys(masks)
-    distinct = list(decoded)
-    for lo in range(0, len(distinct), step):
-        chunk = distinct[lo : lo + step]
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo : lo + step]
         buf = np.frombuffer(b"".join([a.to_bytes(width, "little") for a in chunk]), np.uint8)
         nz = np.flatnonzero(buf != 0)
         hit = np.flatnonzero(np.unpackbits(buf[nz], bitorder="little").view(bool))
-        rows = index[((nz % width) << 3)[hit >> 3] | (hit & 7)].tolist()
-        ends = np.cumsum([a.bit_count() for a in chunk]).tolist()
-        decoded.update(zip(chunk, [tuple(rows[s:e]) for s, e in zip([0, *ends], ends)]))
+        bits = ((nz % width) << 3)[hit >> 3] | (hit & 7)
+        rows = index[bits].tolist()
+        counts = np.array([a.bit_count() for a in chunk])
+        cuts = np.cumsum(counts).tolist()
+        yield lo, bits, counts, [tuple(rows[s:e]) for s, e in zip([0, *cuts], cuts)]
+
+
+def _decode(masks: list[int], n: int) -> list[tuple[int, ...]]:
+    """``[tuple(_bits(a)) for a in masks]``; each distinct mask is decoded once, to one tuple."""
+    decoded = dict.fromkeys(masks)
+    distinct = list(decoded)
+    for lo, _, _, rows in _unpack(distinct, n):
+        decoded.update(zip(distinct[lo : lo + len(rows)], rows))
     return [decoded[a] for a in masks]
+
+
+def _pairs(extents: list[int], intents: list[int], n: int, m: int):
+    """The walk's (rows, cols) pairs in tuple order, up to ties past the first w rows.
+
+    Extents never repeat, so they are decoded as emitted, and the first w
+    rows of each, as 0-padded big-endian ``index + 1``, fill a key block of
+    at most _KEY_BYTES whose stable sort as bytes orders the pairs.
+    """
+    cols = _decode(intents, m)  # first: its scratch arrays add to neither the tuples nor the keys
+    size = 2 if n < 65535 else 4
+    w = max(1, min(n, _KEY_BYTES // (size * max(1, len(extents)))))
+    key = np.zeros((len(extents), w), dtype=f">u{size}")
+    rows = []
+    for lo, bits, counts, tuples in _unpack(extents, n):
+        rows += tuples
+        i, p = np.nonzero(np.arange(w) < counts[:, None])  # row p < w of extent lo + i
+        key[lo + i, p] = bits[(np.cumsum(counts) - counts)[i] + p] + 1
+    order = np.argsort(key.view(f"S{w * size}").ravel(), kind="stable")
+    return [(rows[i], cols[i]) for i in memoryview(order)]  # ints made one at a time
 
 
 def _rows_as_ints(bits: np.ndarray) -> list[int]:
@@ -189,37 +215,24 @@ def _mine_groups(
     # columns where bit k of the rank of r's group within its column is set
     rank = np.where(gid >= 0, gid - np.cumsum([0, *map(len, groups)])[:-1], 0)
     live = _rows_as_ints(gid >= 0)
+    grouped = _rows_as_ints((gid >= 0).T)  # grouped[j]: the rows in a group of column j
     planes = [_rows_as_ints(rank >> k & 1) for k in range(int(rank.max(initial=0)).bit_length())]
 
     def expand(a: int, b: int, y: int):
         size = a.bit_count()
-        rows = None  # the extent's rows, listed when a column needs them
         children: list[tuple[int, int]] = []
         for j in range(y, m):
             if b >> j & 1:
                 continue
             if b.bit_count() + (m - j) < min_col:
                 return b, children, False
-            gs = groups[j]
-            if len(gs) > size:
-                # more groups than rows: tally the groups the rows hit (a
-                # group is one shared int, so by identity) and keep those
-                # that hold min_row of them
-                if rows is None:
-                    rows = list(_bits(a))
-                tally: dict[int, list] = {}
-                for r in rows:
-                    g = cover[r][j]
-                    if g:
-                        t = tally.get(id(g))
-                        if t is None:
-                            tally[id(g)] = [g, 1]
-                        else:
-                            t[1] += 1
-                gs = [g for g, k in tally.values() if k >= min_row]
-            left = size  # rows of the extent not yet placed in a group
-            for g in gs:
-                g &= a
+            # peel the groups the extent hits, each found by the highest
+            # row h not yet placed, until too few rows are left for one
+            rest = a & grouped[j]
+            left = rest.bit_count()
+            while left >= min_row:
+                h = rest.bit_length() - 1
+                g = cover[h][j] & rest
                 k = g.bit_count()
                 if k >= min_row:
                     if k == size:  # the extent fits inside one group: absorb
@@ -229,11 +242,11 @@ def _mine_groups(
                     # means this extent was (or will be) produced in an
                     # earlier subtree; only the attributes where g's lowest
                     # and highest rows share a group can cover it
-                    r, h = (g & -g).bit_length() - 1, g.bit_length() - 1
+                    r = (g & -g).bit_length() - 1
+                    c = cover[r]
                     same = live[r] & live[h] & ~b & ((1 << j) - 1)
                     for p in planes:
                         same &= ~(p[r] ^ p[h])
-                    c = cover[r]
                     while same:
                         e = same & -same
                         if g & c[e.bit_length() - 1] == g:
@@ -242,12 +255,12 @@ def _mine_groups(
                     else:
                         children.append((g, j))
                 left -= k
-                if left < min_row:
-                    break
+                if left >= min_row:
+                    rest ^= g
         return b, children, size >= min_row and b.bit_count() >= min_col
 
     extents, intents, nodes = _walk((1 << n) - 1, start, expand)
-    return list(zip(_decode(extents, n), _decode(intents, m))), nodes
+    return _pairs(extents, intents, n, m), nodes
 
 
 def _cvc_perfect(values: np.ndarray, params: EnumParams):

@@ -128,7 +128,7 @@ def _kinds(rng, n, m):
 def _assert_walks_agree(values, min_row, min_col):
     new = _mine_groups(values, min_row, min_col)
     old = _mine_cvc(values, 0.0, min_row, min_col)
-    assert sorted(new[0]) == sorted(old[0])
+    assert new[0] == sorted(old[0])  # and the group walk hands its pairs over in order
     assert new[1] == old[1]
     return new
 
@@ -195,9 +195,8 @@ def test_canonicity_prefilter_at_its_edges():
 
 def test_group_walk_visits_only_hit_groups():
     # column 1 has seven groups at min_row 1, more than the four rows of the
-    # extent {0, 1, 2, 3} that column 0 splits off, so only the groups those
-    # rows hit are visited; at min_row 2 one group is left and all are
-    # visited
+    # extent {0, 1, 2, 3} that column 0 splits off; the peel visits only the
+    # three groups those rows hit.  At min_row 2 one group is left
     values = np.array([[0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 1, 2, 3, 4, 5, 6]], dtype=float).T
     pairs, nodes = _assert_walks_agree(values, 1, 1)
     assert set(pairs) == {
@@ -286,6 +285,99 @@ def test_binary_column_without_ones():
     }
 
 
+def test_group_peel_at_its_edges():
+    # a column's groups are peeled off the extent's rows that are in one,
+    # the lowest row left first, until fewer than min_row rows are left;
+    # the walks must agree where a column has many more groups than the
+    # extent has rows, where an extent has fewer than 2 * min_row rows (one
+    # group at most), and where rows are in no group of a column (lone rows
+    # at min_row >= 2, NaN cells)
+    rng = np.random.default_rng(97)
+    for t in range(4):
+        n, m = int(rng.integers(200, 301)), int(rng.integers(4, 7))
+        values = rng.integers(0, n * 2 // 3, size=(n, m)).astype(float)  # near-continuous
+        if t % 2:
+            values[rng.random((n, m)) < 0.1] = np.nan
+        for min_row in (1, 2, 3):
+            gid, groups = _value_groups(values, min_row)
+            pairs, _ = _assert_walks_agree(values, min_row, 1)
+            assert min(map(len, groups)) > 3 * max(len(rows) for rows, _ in pairs)
+            if min_row > 1:
+                assert ((gid < 0) & ~np.isnan(values)).any()  # lone rows
+            _assert_walks_agree(values.T, 1, min_row)
+    for t in range(6):
+        n, m = int(rng.integers(12, 25)), int(rng.integers(4, 8))
+        values = rng.integers(0, 3, size=(n, m)).astype(float)
+        if t % 2:
+            values[rng.random((n, m)) < 0.15] = np.nan
+        for min_row in (3, 4, 5):
+            pairs, _ = _assert_walks_agree(values, min_row, 1)
+            assert any(len(rows) < 2 * min_row for rows, _ in pairs)
+
+
+def test_many_small_groups_pinned():
+    # near-continuous integers: a column has about 870 groups of 2+ rows,
+    # and almost every extent below the root has 2 rows
+    values = np.random.default_rng(0).integers(0, 1000, size=(2000, 20)).astype(float)
+    sol = enumerate_biclusters(values, EnumParams(0.0, 2, 1, "cvc-p"))
+    assert (len(sol), sol.stats.nodes_expanded) == (12197, 12198)
+
+
+def test_group_walk_hands_over_its_pairs_in_tuple_order():
+    # one walk's pairs come sorted when the key block holds every row of
+    # every extent, as on these small matrices; _assert_walks_agree checks
+    # it for cvc-p and cvr-p, this for ctv-binary and the walk of each
+    # chv-p pivot
+    rng = np.random.default_rng(89)
+    for _ in range(6):
+        n, m = (int(k) for k in rng.integers(4, 13, size=2))
+        for values in _kinds(rng, n, m):
+            for min_row in (1, 2, 3):
+                ones = np.where(values > np.median(values), 1.0, np.nan)  # ctv-binary's matrix
+                walks = [_mine_groups(ones, min_row, 1)]
+                for atr in range(m - 1):
+                    walks.append(_mine_groups(values[:, [atr]] - values, min_row, 2, start=atr))
+                for pairs, _ in walks:
+                    assert pairs == sorted(pairs)
+
+
+def test_output_order_does_not_rest_on_the_key_width(monkeypatch):
+    # with a key of one row per extent, runs tie on their first row and
+    # the final sort alone orders them; the output must not change
+    rng = np.random.default_rng(101)
+    cases = [(rng.integers(0, 3, size=(40, 8)).astype(float), t) for t in ("cvc-p", "cvr-p")]
+    cases.append((rng.integers(0, 3, size=(30, 7)).astype(float), "chv-p"))
+    cases.append(((rng.random((60, 10)) < 0.4).astype(float), "ctv-binary"))
+    for values, t in cases:
+        params = EnumParams(0.0, 2, 2, t)
+        want = enumerate_biclusters(values, params)
+        monkeypatch.setattr(inclose2, "_KEY_BYTES", 1)
+        pairs, _ = _mine_groups(values, 2, 2)
+        assert [rows[0] for rows, _ in pairs] == sorted(rows[0] for rows, _ in pairs)
+        got = enumerate_biclusters(values, params)
+        monkeypatch.undo()
+        assert got.biclusters == want.biclusters
+        assert got.stats.nodes_expanded == want.stats.nodes_expanded
+
+
+def test_tuple_order_past_65535_rows():
+    # n >= 65,535 rows take 4-byte keys: index + 1 of row 65,536 is 65,537,
+    # which 2 bytes would read as 1, before row 5's key of 6
+    mat = np.zeros((70000, 3))
+    mat[[5, 65536], 0] = mat[[65536, 65537], 1] = mat[[5, 65537, 69999], 2] = 1.0
+    pairs, nodes = _mine_groups(np.where(mat == 1.0, 1.0, np.nan), 1, 1)
+    assert pairs == [
+        ((5,), (0, 2)),
+        ((5, 65536), (0,)),
+        ((5, 65537, 69999), (2,)),
+        ((65536,), (0, 1)),
+        ((65536, 65537), (1,)),
+        ((65537,), (1, 2)),
+    ]
+    sol = enumerate_biclusters(mat, ctv())
+    assert sol.as_set() == set(pairs) and sol.stats.nodes_expanded == nodes
+
+
 # ------------------------------------------- decoding the emitted extent masks
 
 
@@ -319,6 +411,27 @@ def test_decode_across_chunk_seams(monkeypatch):
     step = _DECODE_BYTES // ((n + 7) // 8)
     masks = [(k * 2654435761) % (1 << n) | 1 for k in range(step + 1)]
     _decoded_like_bits(masks, n)
+
+
+def test_pairs_order_by_the_first_w_rows_across_chunk_seams(monkeypatch):
+    # each extent's key is its first w rows, written chunk by chunk at the
+    # chunk's offset; the pairs come out stably sorted by that prefix
+    rng = np.random.default_rng(9)
+    for n in (1, 7, 20, 130):
+        width = (n + 7) // 8
+        extents = list(dict.fromkeys(
+            int.from_bytes(rng.bytes(width), "little") % (1 << n) | 1 << int(rng.integers(n))
+            for _ in range(40)))
+        intents = [int(k) for k in rng.integers(1, 32, size=len(extents))]
+        emitted = [(tuple(_bits(a)), tuple(_bits(b))) for a, b in zip(extents, intents)]
+        for budget in (1, 3, 17 * width, _DECODE_BYTES):
+            monkeypatch.setattr(inclose2, "_DECODE_BYTES", budget)
+            assert inclose2._pairs(extents, intents, n, 5) == sorted(emitted)
+            for w in (1, 2, 3):
+                monkeypatch.setattr(inclose2, "_KEY_BYTES", 2 * w * len(extents))
+                want = sorted(emitted, key=lambda p: p[0][:w])
+                assert inclose2._pairs(extents, intents, n, 5) == want
+            monkeypatch.undo()
 
 
 def test_decode_shares_equal_masks_and_indices(monkeypatch):
