@@ -26,7 +26,10 @@ up as constant-column structure; the pipeline is
    only the kept pairs is exact, as walking only the kept columns is for
    ``cvc`` (see the ``cvc`` module docstring),
 2. mine it for maximal constant-column biclusters with the same epsilon
-   (min_col mapped to the pair count c*(c-1)/2, a sound prune), and
+   (min_col mapped to the pair count c*(c-1)/2, a sound prune) by the
+   walk of ``cvc``, which below its root reads no pair column unless the
+   root windows are many (it expands by set algebra on their row bitmasks;
+   see the ``cvc`` module docstring), and
 3. for each of those, map its intent back to original columns, connect the
    pairs it certifies into a graph, and read candidate intents off the
    maximal cliques; a candidate survives if it uses the whole vertex set or
@@ -208,7 +211,7 @@ def _chv(values: np.ndarray, params: EnumParams):
     keep = _screen(values, params.epsilon, params.min_row, _pair_blocks)
     aug = AugmentedMatrix(values, left[keep], right[keep])
     min_pairs = params.min_col * (params.min_col - 1) // 2
-    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs)
+    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs, values.nbytes)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for bic in pairs:
         out += extract_chv_from_cvc(bic, aug, params.epsilon, params.min_col)

@@ -1,70 +1,79 @@
-"""Enumeration of all maximal constant-column biclusters (perfect and perturbed).
+"""Enumeration of all maximal constant-column biclusters (perturbed).
 
-The search is the same lexicographic closure walk as the binary case, lifted
-to numeric data: an attribute whose value range over the current extent is
-within epsilon is absorbed into the intent; otherwise the extent is split
-into its maximal epsilon-windows (contiguous runs of the value-sorted rows
-that cannot be extended on either side), each a potential child.
-
-Three guards keep the perturbed output exact, complete and duplicate-free:
+The search is the lexicographic closure walk of the binary case, lifted to
+numeric data: an attribute whose value range over the extent is within
+epsilon is absorbed into the intent; otherwise the extent is split into its
+maximal epsilon-windows (runs of the value-sorted rows that cannot be
+extended on either side), each a potential child.  Three guards keep the
+output exact, complete and duplicate-free:
 
 * canonicity — a child is dropped if some earlier non-intent attribute
   already has range <= epsilon over it (that extent belongs to an earlier
   subtree, where it closes to the same bicluster);
-* an extent registry — unlike the perfect case, overlapping windows can
-  recreate an extent along several paths; since a maximal constant-column
-  bicluster is determined by its extent, a repeated extent is always a
-  duplicate and is dropped on sight;
-* row maximality — a child that some row outside it can join on its intent
-  closes to a non-maximal bicluster and is dropped (``_completable`` tests
-  that definition).  No row of the node's extent can join, as the child's
-  window is maximal on the cut column; so a joining row left the extent at
-  an ancestor's cut on an intent column, and lies in that window's band (within
-  epsilon of its min_row-th lowest value from below, or of its min_row-th
-  highest from above), since the child keeps min_row of its rows.
+* an extent registry — overlapping windows can recreate an extent along
+  several paths, and a maximal constant-column bicluster is determined by
+  its extent, so a repeated extent is dropped on sight;
+* row maximality — a child that some row outside it can join on its
+  intent closes to a non-maximal bicluster and is dropped.  No row of the
+  node's extent can join, as the child's window is maximal on its column.
 
-The registry and the row-maximality test are needed only because
-epsilon-windows overlap.  At epsilon = 0 neither fires and canonicity
-alone suffices, so the perfect types run the bitmask walk of ``inclose2``
-on precomputed groups instead, and this kernel serves epsilon > 0 only.
-Both expand the nodes of one traversal, ``inclose2._walk``; at epsilon = 0
-this one walks the same tree, which the tests use to cross-check the two.
-The registry is a plain set of extent bytes, and the walk's one duplicate
+The registry and row maximality are needed only because epsilon-windows
+overlap: at epsilon = 0 neither fires, so the perfect types run the bitmask
+walk of ``inclose2`` on precomputed groups instead.  Both expand the nodes
+of one traversal, ``inclose2._walk``; at epsilon = 0 this walk walks the
+same tree, which the tests use to cross-check the two.  The registry, a set
+of extents (their bytes, or their row masks), is the walk's one duplicate
 guard: an emitted extent is the root's or a registered child's, and no
 child holds every row of its parent (a window over the whole extent is
-absorbed, not cut), so none is emitted twice.  The emitted intent masks
-are decoded into column tuples when the walk ends (``inclose2._decode``).
+absorbed, not cut).  The emitted masks are decoded when the walk ends.
 
-Each node sorts its extent's values once, column by column from its start
-attribute (values only, _BLOCK columns at a time), and reads every test
-and every window off that one sort (``_fits``): a column whose range s[-1]
-- s[0] is within epsilon is absorbed, a column holding an epsilon-window
-of at least min_row rows fits, and a column that fits and is not absorbed
-is cut; the attribute loop visits only absorbed and fitting columns.
+The root, and in the sort expansion every node, sorts its extent's values
+once, column by column from its start attribute (values only, _BLOCK
+columns and at most _SORT_BYTES at a time), and reads every test and every
+window off that one sort (``_fits``): a column whose range s[-1] - s[0] is
+within epsilon is absorbed, a column holding an epsilon-window of min_row
+rows fits, and a column that fits and is not absorbed is cut; the scan
+visits only absorbed and fitting columns, since no other makes a child.
 Floating-point subtraction is monotone in each operand, so a window of
 min_row rows starts at sorted position p iff s[p + min_row - 1] - s[p] <=
-epsilon: the fits test, and the only starts the cut visits.  A skipped
-column would have created no child, so the guards never see it, and
-children, node counts and output stay the same.
+epsilon: the fits test, and the only starts the cut visits.  A window's
+rows are the extent's rows whose value lies in [s[p], s[e-1]], which is
+exact because no maximal window splits a run of tied values (if s[p-1] ==
+s[p], both starts end alike, so p is not maximal; if s[e] == s[e-1], row e
+fits too; -0.0 and 0.0 compare equal), so the sort need not be stable.
+The cut can precede the scan: an inherited intent column has range <=
+epsilon over a superset of the extent, so it is absorbed, never cut.  A
+window whose extent the node has cut before (``cut``) or the registry
+holds is dropped before canonicity reads anything: the former was cut at
+an earlier column outside the intent, of range <= epsilon over it.
 
-A window's rows are the extent's rows whose value, as read, lies in
-[s[p], s[e-1]]: one range mask over the column, ascending with the
-extent.  That is exact because no maximal window splits a run of tied
-values (if s[p-1] == s[p], both starts end alike, so p is not maximal; if
-s[e] == s[e-1], row e fits too; -0.0 and 0.0 compare equal and give the
-same differences), so the sort need not be stable and no row order is
-kept.  The cut can share the fits pass, before the scan, because the set
-of cut columns does not depend on the intent the scan grows: a column of
-the inherited intent has range <= epsilon over a superset of the extent,
-hence over the extent, so it is absorbed and never cut.  The min_col
-prune only ends the scan early, and the windows of the columns past it go
-unused.  A node holds one block of at most _BLOCK columns at a time, and so
-does a canonicity test.  The scan takes each cut column's windows in
-order.  A window whose extent the node has cut before (``cut``) or the
-registry holds is dropped before canonicity reads anything: the former
-was cut at an earlier column e, outside the intent and of range <=
-epsilon over it, so canonicity rejects it; the registry drops the latter
-anyway.
+Below the root, the mask expansion (``_by_masks``) walks the same tree
+without reading a value, by set algebra on each column's root windows as
+row bitmasks (interordinal scaling: Kaytoue, Kuznetsov, Napoli &
+Duplessis, Information Sciences 181, 2011).  Validity, fl(max - min) <=
+epsilon, holds on every subset of a valid set, rounding being monotone, so
+a set of min_row rows or more is valid on column c iff some root window W
+of c contains it (an absorbed column's one window is every row), and over
+an extent A:
+
+* windows: c is absorbed iff A & W == A for some W; otherwise c's windows
+  over A are the largest of the sets A & W of min_row rows or more, in the
+  order of their W: each A & W is a run of A's value order whose ends rise
+  with W's start, so that is the sort expansion's child order.  The other
+  sets meet the guards too, and make no child: a repeat is in ``cut``, and
+  a set inside a larger one fails row maximality, since the larger one's
+  rows join it on every column (and ``cut`` then holds a set that
+  canonicity would reject at any later column);
+* canonicity: a child X is dropped iff X & W == X for some W of an earlier
+  column outside the intent;
+* row maximality: a row r can join X on c iff X | r lies in one W of c, so
+  X is dropped iff some row outside X lies, for every c of {j} and the
+  intent, in the union of the windows W of c that contain X.
+
+Each node scans every root window of its columns, so the mask expansion
+runs only while the root has at most _WINDOWS per column (the measured
+crossover) and their masks, ceil(n / 8) bytes each, take no more than the
+input matrix; else every node sorts.  The rinclose logger names the choice.
 
 Every miner screens its columns once, before the walk (``_screen``), and
 hands the kernel a matrix of only those that hold a window of min_row rows
@@ -81,26 +90,44 @@ columns after the one scanned, can fire sooner, and only where the intent
 can no longer reach min_col, so a node count never grows.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
-kept columns of the matrix, ``cvr`` on those of the transpose (the dispatch
-table's transpose rule) and ``chv`` on the augmented matrix of its kept
-pair columns, which computes the pair columns each read asks for
-(``chv.AugmentedMatrix``): a node holds one block of them at a time.  The
-miner here (``_cvc``) screens the columns, maps params onto the kernel's
-arguments, maps the kept column ids back, and returns the (rows, cols)
-pairs and node count; ``enumerate_biclusters`` owns the model transform,
-the timing, the sort and the stats.
+kept columns of the matrix, read through a view that gathers them on read
+(``_Columns``), so they are never copied; ``cvr`` on those of the
+transpose (the dispatch table's transpose rule); and ``chv`` on the
+augmented matrix of its kept pair columns, which computes the pair
+columns each read asks for (``chv.AugmentedMatrix``).  The miner here
+(``_cvc``) screens the columns, maps params onto the kernel's arguments,
+maps the kept column ids back, and returns the (rows, cols) pairs and node
+count; ``enumerate_biclusters`` owns the model transform, the timing, the
+sort and the stats.
 """
-
 from __future__ import annotations
 
+import logging
 from typing import Sequence
 
 import numpy as np
 
 from .core import EnumParams
-from .inclose2 import _bits, _decode, _walk
+from .inclose2 import _HOT_CELLS, _bits, _decode, _pairs, _rows_as_ints, _walk
+
+log = logging.getLogger("rinclose")
 
 _BLOCK = 256  # columns per read and sort in _fits and _canonical_fast
+_SORT_BYTES = 1 << 22  # and at most this many bytes of values per block in _fits
+_WINDOWS = 12  # root windows per column above which every node sorts (measured crossover)
+
+
+class _Columns:
+    """The columns ``kept`` of a matrix, gathered on each read ``chv.AugmentedMatrix`` serves."""
+
+    def __init__(self, values: np.ndarray, kept: np.ndarray) -> None:
+        self.values, self.kept, self.shape = values, kept, (len(values), len(kept))
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        if isinstance(cols, slice) and isinstance(rows, np.ndarray):
+            rows = rows[:, None]
+        return self.values[rows, self.kept[cols]]
 
 
 def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps: float) -> bool:
@@ -205,10 +232,11 @@ def _fits(
     n = len(a)
     rows = a if n < values.shape[0] else slice(None)  # the root reads values itself
     w = max(n - min_row + 1, 0)  # window starts; none if too few rows
+    step = max(1, min(_BLOCK, _SORT_BYTES // (8 * max(n, 1))))
     absorb, fits = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)]
     windows: dict[int, list[np.ndarray]] = {}
-    for lo in range(y, values.shape[1], _BLOCK):
-        sub = values[rows, lo : lo + _BLOCK]
+    for lo in range(y, values.shape[1], step):
+        sub = values[rows, lo : lo + step]
         s = np.sort(sub, axis=0)  # unstable: no maximal window splits a tie
         starts = s[n - w :] - s[:w] <= eps  # start x column: a window of min_row rows at p
         full, fit = s[-1] - s[0] <= eps, starts.any(axis=0)
@@ -240,21 +268,90 @@ def _fits(
     return np.concatenate(absorb), np.concatenate(fits), windows
 
 
+def _by_masks(absorb: np.ndarray, windows: dict, n: int, min_row: int, min_col: int):
+    """The mask expansion over n rows of the root's verdicts and windows, the
+    windows packed to row bitmasks a 0/1 block at a time (module docstring)."""
+    rows = (1 << n) - 1
+    wins = [[rows] if full else [] for full in absorb.tolist()]
+    listed = [(j, rw) for j, ws in windows.items() for rw in ws]
+    step = max(1, _HOT_CELLS // n)
+    for lo in range(0, len(listed), step):
+        chunk = listed[lo : lo + step]
+        hot = np.zeros((len(chunk), n), dtype=bool)
+        for i, (_, rw) in enumerate(chunk):
+            hot[i, rw] = True
+        for (j, _), mask in zip(chunk, _rows_as_ints(hot)):
+            wins[j].append(mask)
+    m = len(wins)
+    seen: set[int] = set()  # the registry, as in the sort expansion
+
+    def joinable(x: int, cols) -> bool:
+        out = rows ^ x  # the rows outside x that every column so far admits
+        for c in cols:
+            union = 0
+            for w in wins[c]:
+                if x & w == x:
+                    union |= w
+            out &= union
+            if not out:
+                return False
+        return True
+
+    def expand(a: int, b: int, y: int):
+        children: list[tuple[int, int]] = []
+        cut: set[int] = set()
+        for j in range(y, m):
+            if b >> j & 1:
+                continue
+            # the sort expansion's prune waits for a fitting column, but past
+            # this one neither makes a child nor, b short of min_col, emits
+            if b.bit_count() + (m - j) < min_col:
+                return b, children, False
+            found: list[int] = []  # each a & w of min_row rows: every window over a among them
+            for w in wins[j]:
+                x = a & w
+                if x == a:
+                    b |= 1 << j
+                    break
+                if x.bit_count() >= min_row:
+                    found.append(x)
+            else:
+                for x in found:
+                    if x in cut or x in seen:
+                        continue
+                    cut.add(x)
+                    covered = any(x & w == x for e in range(j) if not b >> e & 1 for w in wins[e])
+                    if not covered and not joinable(x, (j, *_bits(b))):  # canonical, row-maximal
+                        seen.add(x)
+                        children.append((x, j))
+        return b, children, a.bit_count() >= min_row and b.bit_count() >= min_col
+
+    return expand
+
+
 def _mine_cvc(
-    values: np.ndarray, eps: float, min_row: int, min_col: int
+    values: np.ndarray, eps: float, min_row: int, min_col: int, room: int = 0
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    """The walk of the perturbed types: ``inclose2._walk`` with this node expansion.
+    """The walk of the perturbed types: ``inclose2._walk`` with one of two node expansions.
 
     Returns (list of (rows, cols) pairs, node count), no extent twice; a
-    matrix of no columns has neither.  A node cuts its cut columns in the
-    pass that sorts them (``_fits``), before its scan, and the scan takes
-    their windows column by column.  A child is dropped by the three guards
-    of the module docstring; a window already cut at the node or in the
-    registry is dropped before any read.
+    matrix of no columns has neither.  After the root's sort, the mask
+    expansion runs if the root windows are few (module docstring) and their
+    masks fit in room bytes: the miners pass their input's size, and 0
+    keeps the sort expansion.
     """
     n, m = values.shape
     if not m:  # the screen kept no column
         return [], 0
+    root = _fits(values, np.arange(n, dtype=np.intp), 0, eps, min_row)
+    count = int(root[0].sum()) + sum(map(len, root[2].values()))
+    masks = count <= _WINDOWS * m and count * ((n + 7) // 8) <= room
+    log.debug("walk: %s expansion, %d root windows, %d columns", ("sort", "mask")[masks], count, m)
+    if masks:
+        expand = _by_masks(root[0], root[2], n, min_row, min_col)
+        del root  # the windows' row arrays, now masks
+        extents, intents, nodes = _walk((1 << n) - 1, 0, expand)
+        return _pairs(extents, intents, n, m), nodes
     # extents of the children created so far; an extent that fails the
     # row-maximality test must stay out, because the same rows can reappear
     # later under a stronger intent that no outside row can join, and that
@@ -264,7 +361,7 @@ def _mine_cvc(
     def expand(a: np.ndarray, b: int, y: int):
         # the cut columns' windows are listed before the scan, which passes
         # over every column neither absorbed nor cut (exact: module docstring)
-        absorb, fits, windows = _fits(values, a, y, eps, min_row)
+        absorb, fits, windows = root if len(a) == n else _fits(values, a, y, eps, min_row)
         children: list[tuple[np.ndarray, int]] = []
         cut: set[bytes] = set()  # extents of the windows this node has cut
         for j in (y + np.flatnonzero(absorb | fits)).tolist():
@@ -295,8 +392,7 @@ def _mine_cvc(
 def _cvc(values: np.ndarray, params: EnumParams):
     """Miner for ``cvc``: the kernel on the columns the screen keeps, under the caller's filters."""
     kept = np.flatnonzero(_screen(values, params.epsilon, params.min_row))
-    if len(kept) < values.shape[1]:  # a copy of the kept columns only where some are dropped
-        values = values[:, kept]
-    pairs, nodes = _mine_cvc(values, params.epsilon, params.min_row, params.min_col)
+    view = values if len(kept) == values.shape[1] else _Columns(values, kept)
+    pairs, nodes = _mine_cvc(view, params.epsilon, params.min_row, params.min_col, values.nbytes)
     ids = kept.tolist()
     return [(rows, tuple(ids[c] for c in cols)) for rows, cols in pairs], nodes

@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import EnumParams
 
-_HOT_CELLS = 1 << 22  # bytes of the 0/1 scratch block _masks packs at a time
+_HOT_CELLS = 1 << 22  # bytes of the 0/1 scratch block _masks (and cvc._by_masks) packs at a time
 _DECODE_BYTES = 1 << 16  # bytes of packed masks _unpack unpacks at a time
 _KEY_BYTES = 1 << 18  # bytes of the sort-key block _pairs fills
 

@@ -26,6 +26,7 @@ from rinclose.chv import (
     extract_chv_from_cvc,
 )
 from rinclose.cvc import _cvc, _fits, _mine_cvc, _screen
+from expansions import _forced
 from ties import _tie_epsilons
 
 # ------------------------------------------------------------ augmented matrix
@@ -424,32 +425,36 @@ def test_perturbed_matches_oracle():
         assert found.as_set() == oracle_enumerate(mat, params).as_set()
 
 
-def test_no_duplicates_across_cvc_parents(monkeypatch):
+def test_no_duplicates_across_cvc_parents():
     # extraction keeps every candidate that is row-maximal and drops no
     # repeat, so the output is duplicate-free only because the walk's
-    # extents are distinct: check both, on integers and on k/10 decimals
-    # at epsilons that sit on their inexact differences
+    # extents are distinct: check both, in either expansion of the walk, on
+    # integers and on k/10 decimals at epsilons that sit on their inexact
+    # differences
     import rinclose.chv
 
-    walks = []
-
-    def recording(*args):
-        pairs, nodes = _mine_cvc(*args)
-        walks.append([rows for rows, _ in pairs])
-        return pairs, nodes
-
-    monkeypatch.setattr(rinclose.chv, "_mine_cvc", recording)
     rng = np.random.default_rng(43)
     cases = [(rng.integers(0, 3, size=(8, 5)).astype(float), 1.0) for _ in range(10)]
     for _ in range(6):
         mat = rng.integers(0, 30, size=(8, 5)) / 10
         cases += [(mat, eps) for eps in _tie_epsilons(mat, rng)]
-    for mat, eps in cases:
-        sol = enumerate_biclusters(mat, EnumParams(eps, 2, 2, "chv"))
-        pairs = [(b.rows, b.cols) for b in sol.biclusters]
-        assert len(set(pairs)) == len(pairs)
-    assert len(walks) == len(cases)
-    assert all(len(set(extents)) == len(extents) for extents in walks)
+    for expansion in ("sort", "mask"):
+        walks = []
+        with pytest.MonkeyPatch.context() as mp, _forced(mp, expansion):
+            walk = rinclose.chv._mine_cvc
+
+            def recording(*args):
+                pairs, nodes = walk(*args)
+                walks.append([rows for rows, _ in pairs])
+                return pairs, nodes
+
+            mp.setattr(rinclose.chv, "_mine_cvc", recording)
+            for mat, eps in cases:
+                sol = enumerate_biclusters(mat, EnumParams(eps, 2, 2, "chv"))
+                pairs = [(b.rows, b.cols) for b in sol.biclusters]
+                assert len(set(pairs)) == len(pairs)
+        assert len(walks) == len(cases), expansion
+        assert all(len(set(extents)) == len(extents) for extents in walks), expansion
 
 
 def test_outputs_are_valid_and_maximal():

@@ -25,6 +25,8 @@ from rinclose import (
 from rinclose.core import BIC_TYPES, _model_values
 from rinclose.io import solution_to_json
 
+from expansions import _expansions, _forced
+
 
 def test_matrix_basic_shape():
     mat = NumericMatrix([[1, 2, 3], [4, 5, 6]])
@@ -428,12 +430,27 @@ def test_every_type_pins_output_and_node_count():
 def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
     # planted shift blocks in a uniform [0, 100] background: about 7 in 8
     # column scans of this walk find no eps-window of min_row rows, so the
-    # kernel's per-node prefilter skips most columns; and most windows repeat
-    # rows that an earlier column of the same node has cut, so they are
-    # dropped before canonicity reads them; and the root's float32 screen
-    # keeps only 45 of the 120 pair columns; nodes and bytes must not move
+    # sort expansion's per-node prefilter skips most columns; and most
+    # windows repeat rows that an earlier column of the same node has cut,
+    # so they are dropped before canonicity reads them; and the root's
+    # float32 screen keeps only 45 of the 120 pair columns.  The selection
+    # takes the mask walk here, which reads no values below its root; nodes
+    # and bytes must not move in either expansion
     import rinclose.chv
     import rinclose.cvc
+
+    mat, _ = generate(GenConfig(n=120, m=16, num_bics=3, bic_rows=20, bic_cols=6,
+                                overlap=0.2, noise_sigma=0.01, seed=0))
+    params = EnumParams(0.1, 12, 4, "chv")
+    pinned = (13, 3, "777c08aadd5912d885e0954d2f695f8e3e7babed458b5dbe91ebaee6671a179d")
+
+    def run():
+        sol = enumerate_biclusters(mat, params)
+        return sol.stats.nodes_expanded, len(sol), hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
+
+    with _expansions() as taken:
+        assert run() == pinned
+    assert taken == ["mask"]
 
     calls = {"windows": 0, "reads": 0, "screened": []}
     fits, canonical = rinclose.cvc._fits, rinclose.cvc._canonical_fast
@@ -456,12 +473,8 @@ def test_chv_pins_a_walk_where_most_columns_hold_no_window(monkeypatch):
     monkeypatch.setattr(rinclose.cvc, "_fits", counted_fits)
     monkeypatch.setattr(rinclose.cvc, "_canonical_fast", counted_canonical)
     monkeypatch.setattr(rinclose.chv, "_screen", counted_screen)
-    mat, _ = generate(GenConfig(n=120, m=16, num_bics=3, bic_rows=20, bic_cols=6,
-                                overlap=0.2, noise_sigma=0.01, seed=0))
-    sol = enumerate_biclusters(mat, EnumParams(0.1, 12, 4, "chv"))
-    digest = hashlib.sha256(solution_to_json(sol).encode()).hexdigest()
-    assert (sol.stats.nodes_expanded, len(sol), digest) == (
-        13, 3, "777c08aadd5912d885e0954d2f695f8e3e7babed458b5dbe91ebaee6671a179d")
+    with _forced(monkeypatch, "sort"):
+        assert run() == pinned
     assert 0 < calls["reads"] < calls["windows"], calls
     assert calls["screened"] == [(45, 120)], calls
 

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rinclose import (
     Bicluster,
@@ -13,10 +18,13 @@ from rinclose.chv import AugmentedMatrix
 from rinclose.cvc import (
     _canonical_fast,
     _completable,
+    _cvc,
     _fits,
     _mine_cvc,
+    _screen,
 )
 from rinclose.io import solution_to_json
+from expansions import _expansions, _forced
 from ties import _tie_epsilons
 
 
@@ -212,12 +220,14 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
 
 
 def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
-    # a node sorts and cuts its columns _BLOCK at a time; on chv the root
-    # of this 20x26 matrix reads the 261 of its 325 pair columns that the
-    # screen keeps, so every block size below leaves a seam there.  No read
-    # _fits makes may hold more than _BLOCK columns (a node holds one block
-    # of pair columns at a time), and node counts and output bytes must not
-    # depend on the size
+    # a node of the sort expansion sorts and cuts its columns _BLOCK at a
+    # time, and at most _SORT_BYTES of values at a time; on chv the root of
+    # this 20x26 matrix reads the 261 of its 325 pair columns that the screen
+    # keeps, so every block size below leaves a seam there.  No read _fits
+    # makes may hold more than one block (a node holds one block of pair
+    # columns at a time), and node counts and output bytes must depend
+    # neither on the block nor on the expansion: the mask walk's root reads
+    # in the same blocks
     import rinclose.chv
     import rinclose.cvc
 
@@ -225,7 +235,7 @@ def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
     mine, fits = rinclose.cvc._mine_cvc, rinclose.cvc._fits
 
     class Recorded:
-        """The kernel's matrix, recording the width of every read _fits makes."""
+        """The kernel's matrix, recording the width and bytes of every read _fits makes."""
 
         def __init__(self, inner):
             self.inner, self.shape = inner, inner.shape
@@ -233,7 +243,7 @@ def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
         def __getitem__(self, key):
             out = self.inner[key]
             if inside:
-                reads.append(out.shape[1])
+                reads.append((out.shape[1], out.nbytes))
             return out
 
     def recorded_mine(values, *args):
@@ -255,14 +265,19 @@ def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
              (rng.integers(0, 6, size=(20, 26)).astype(float), EnumParams(1.0, 7, 3, "chv"))]
     for values, params in cases:
         runs = set()
-        for block in (1, 7, 256):
-            monkeypatch.setattr(rinclose.cvc, "_BLOCK", block)
-            reads.clear()
-            fitted.clear()
-            sol = enumerate_biclusters(values, params)
-            runs.add((sol.stats.nodes_expanded, solution_to_json(sol)))
-            assert reads and max(reads) <= block, (params.bic_type, block)
-            assert sum(reads) >= sum(fitted)
+        for block, sort_bytes in ((1, 1 << 22), (7, 1 << 22), (256, 1 << 22), (256, 24 * len(values))):
+            for expansion in ("sort", "mask"):
+                with pytest.MonkeyPatch.context() as mp, _forced(mp, expansion):
+                    mp.setattr(rinclose.cvc, "_BLOCK", block)
+                    mp.setattr(rinclose.cvc, "_SORT_BYTES", sort_bytes)
+                    reads.clear()
+                    fitted.clear()
+                    sol = enumerate_biclusters(values, params)
+                runs.add((sol.stats.nodes_expanded, solution_to_json(sol)))
+                assert reads and max(w for w, _ in reads) <= block, (params.bic_type, block)
+                assert all(w == 1 or size <= sort_bytes for w, size in reads), params.bic_type
+                assert sum(w for w, _ in reads) >= sum(fitted)
+                assert (len(fitted) > 1) == (expansion == "sort")  # the mask walk sorts at its root only
         assert len(runs) == 1, params.bic_type
         assert len(sol) > 0
     assert max(fitted) > 256, max(fitted)
@@ -293,8 +308,8 @@ def test_canonical_ignores_intent_columns(table1):
 
 def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
     # the kernel's matrix holds only the live columns, those the screen
-    # keeps, and a child's canonicity test reads its columns < j _BLOCK at a
-    # time; on every call, the full scan over all columns < j (the rule: no
+    # keeps, and a child's canonicity test in the sort expansion reads its
+    # columns < j _BLOCK at a time; on every call, the full scan over all columns < j (the rule: no
     # column outside the intent has range <= eps over the child) must give
     # the same verdict.  Decimal values with epsilon on a difference and its
     # float neighbours, through cvc, cvr (the transpose) and chv (the
@@ -312,6 +327,7 @@ def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
         return verdict
 
     monkeypatch.setattr(rinclose.cvc, "_canonical_fast", checked)
+    monkeypatch.setattr(rinclose.cvc, "_WINDOWS", -1)  # the sort expansion, the one that reads values
     rng = np.random.default_rng(59)
     for i in range(16):
         monkeypatch.setattr(rinclose.cvc, "_BLOCK", (3, 256)[i % 2])
@@ -549,6 +565,114 @@ def test_outputs_are_valid_and_maximal():
     for b in sol.biclusters:
         assert is_valid(vals, b, params)
         assert is_maximal(vals, b, params)
+
+
+# ---------------------------------------------------------------- two expansions
+
+
+def _each_expansion(values, params):
+    """The expansion the selection takes; the run's JSON and node count must
+    not change when either expansion is forced."""
+    with _expansions() as taken:
+        sol = enumerate_biclusters(values, params)
+    runs = [(solution_to_json(sol), sol.stats.nodes_expanded)]
+    for expansion in ("sort", "mask"):
+        with pytest.MonkeyPatch.context() as mp, _forced(mp, expansion):
+            sol = enumerate_biclusters(values, params)
+        runs.append((solution_to_json(sol), sol.stats.nodes_expanded))
+    assert runs[0] == runs[1] == runs[2], (params, taken)
+    return taken[0] if taken else None
+
+
+@st.composite
+def walks(draw):
+    """A matrix of integers, k/10 decimals or normals, a perturbed type, and
+    epsilon on an actual difference of its kernel matrix's values or on a
+    float neighbour of it."""
+    bic_type = draw(st.sampled_from(["cvc", "cvr", "chv"]))
+    n, m = draw(st.integers(2, 14)), draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["integers", "decimals", "normals"]))
+    if kind == "normals":
+        vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, m))
+    else:
+        vals = draw(arrays(np.int64, (n, m), elements=st.integers(0, 30 if kind == "decimals" else 6)))
+        vals = vals / 10 if kind == "decimals" else vals.astype(float)
+    ties = _augmented(vals) if bic_type == "chv" else vals
+    if np.ptp(ties) > 0:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        eps = draw(st.sampled_from(_tie_epsilons(ties, rng)))
+    else:
+        eps = 0.5
+    min_row = draw(st.integers(1, 4))
+    min_col = draw(st.integers(1, 3)) + (bic_type == "chv")
+    return vals, EnumParams(eps, min_row, min_col, bic_type)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_mask_walk_equals_sort_walk(case):
+    # the mask walk expands every node by set algebra on the root windows,
+    # the sort walk by sorting the node's extent: the same children in the
+    # same order, so the same bytes and the same node count
+    _each_expansion(*case)
+
+
+def test_mask_walk_equals_sort_walk_above_the_selection():
+    # inputs whose root windows select the sort expansion: many per column
+    # (distinct decimals at a small min_row), and for chv, about 5 per pair
+    # column but masks that outweigh the input (30 columns, 435 pairs);
+    # forced, the mask walk still walks the same tree
+    rng = np.random.default_rng(71)
+    cases = [
+        (rng.integers(0, 400, size=(60, 4)) / 10, EnumParams(0.3, 1, 2, "cvc")),
+        (rng.integers(0, 400, size=(4, 60)) / 10, EnumParams(0.3, 2, 1, "cvr")),
+        (rng.integers(0, 30, size=(6, 30)) / 10, EnumParams(0.15, 1, 4, "chv")),
+    ]
+    for values, params in cases:
+        assert _each_expansion(values, params) == "sort", params.bic_type
+
+
+def test_the_many_windows_probe_takes_the_sort_expansion(monkeypatch):
+    # uniform [0, 100) 2000 x 20, cvc at epsilon 1.0 and min 5 x 3: 19,946
+    # root windows, about 1,000 per column, where the sort walk takes 18,093
+    # nodes in about a second and the mask walk nearly 50 s.  Only the
+    # selection is run here
+    import rinclose.cvc
+
+    values = np.random.default_rng(0).random((2000, 20)) * 100
+    monkeypatch.setattr(rinclose.cvc, "_walk", lambda *args: ([], [], 0))
+    with _expansions() as taken:
+        enumerate_biclusters(values, EnumParams(1.0, 5, 3, "cvc"))
+    assert taken == ["sort"]
+
+
+def test_cvc_reads_its_kept_columns_without_a_copy(monkeypatch):
+    # 40 columns, each zero on its first 600 rows and distinct elsewhere, and
+    # one column of distinct values that the screen drops.  The miner's walk
+    # reads the 40 kept columns through a view, at its root only and a few
+    # at a time (here 2, as _SORT_BYTES allows on a matrix 20 times taller),
+    # and never holds a copy of them.  The screen runs before tracing
+    import rinclose.cvc
+
+    rng = np.random.default_rng(73)
+    n = 4000
+    values = np.where((np.arange(n) < 600)[:, None], 0.0, rng.random((n, 41)) * 1e6 + 1)
+    values[:, 17] = rng.permutation(n) * 2.0
+    params = EnumParams(0.5, 500, 3, "cvc")
+    keep = _screen(values, params.epsilon, params.min_row)
+    assert keep.sum() == 40
+    monkeypatch.setattr(rinclose.cvc, "_screen", lambda *args: keep)
+    monkeypatch.setattr(rinclose.cvc, "_SORT_BYTES", 8 * n * 2)
+    tracemalloc.start()
+    try:
+        with _expansions() as taken:
+            pairs, nodes = _cvc(values, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == ["mask"]
+    assert pairs == [(tuple(range(600)), tuple(c for c in range(41) if c != 17))]
+    assert peak < n * 40 * 8 / 2, peak
 
 
 # Both duplicate suppression and the row-maximality check earn their keep:
