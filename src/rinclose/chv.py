@@ -211,7 +211,7 @@ def _chv(values: np.ndarray, params: EnumParams):
     keep = _screen(values, params.epsilon, params.min_row, _pair_blocks)
     aug = AugmentedMatrix(values, left[keep], right[keep])
     min_pairs = params.min_col * (params.min_col - 1) // 2
-    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs, values.nbytes)
+    pairs, nodes = _mine_cvc(aug, params.epsilon, params.min_row, min_pairs)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for bic in pairs:
         out += extract_chv_from_cvc(bic, aug, params.epsilon, params.min_col)

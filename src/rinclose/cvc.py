@@ -70,10 +70,11 @@ an extent A:
   X is dropped iff some row outside X lies, for every c of {j} and the
   intent, in the union of the windows W of c that contain X.
 
-Each node scans every root window of its columns, so the mask expansion
-runs only while the root has at most _WINDOWS per column (the measured
-crossover) and their masks, ceil(n / 8) bytes each, take no more than the
-input matrix; else every node sorts.  The rinclose logger names the choice.
+Each node scans every root window of its columns, and a mask takes n bits
+where a row array takes 64 per row, so the mask expansion runs only while
+the root has at most _WINDOWS per column and n <= _TALL * min_row (then
+no window or extent is larger as a mask; both measured crossovers lie
+above).  Else every node sorts.  The rinclose logger names the choice.
 
 Every miner screens its columns once, before the walk (``_screen``), and
 hands the kernel a matrix of only those that hold a window of min_row rows
@@ -90,8 +91,8 @@ columns after the one scanned, can fire sooner, and only where the intent
 can no longer reach min_col, so a node count never grows.
 
 This walk is the one kernel of the perturbed types: ``cvc`` runs it on the
-kept columns of the matrix, read through a view that gathers them on read
-(``_Columns``), so they are never copied; ``cvr`` on those of the
+kept columns of the matrix, which the root reads through a view
+(``_Columns``) and only the sort expansion copies; ``cvr`` on those of the
 transpose (the dispatch table's transpose rule); and ``chv`` on the
 augmented matrix of its kept pair columns, which computes the pair
 columns each read asks for (``chv.AugmentedMatrix``).  The miner here
@@ -115,19 +116,17 @@ log = logging.getLogger("rinclose")
 _BLOCK = 256  # columns per read and sort in _fits and _canonical_fast
 _SORT_BYTES = 1 << 22  # and at most this many bytes of values per block in _fits
 _WINDOWS = 12  # root windows per column above which every node sorts (measured crossover)
+_TALL = 64  # rows per min_row above which every node sorts: masks then outweigh row arrays
 
 
 class _Columns:
-    """The columns ``kept`` of a matrix, gathered on each read ``chv.AugmentedMatrix`` serves."""
+    """The columns ``kept`` of a matrix, gathered on each read of the root's ``_fits``: [:, lo:hi]."""
 
     def __init__(self, values: np.ndarray, kept: np.ndarray) -> None:
         self.values, self.kept, self.shape = values, kept, (len(values), len(kept))
 
     def __getitem__(self, key) -> np.ndarray:
-        rows, cols = key
-        if isinstance(cols, slice) and isinstance(rows, np.ndarray):
-            rows = rows[:, None]
-        return self.values[rows, self.kept[cols]]
+        return self.values[:, self.kept[key[1]]]
 
 
 def _completable(values: np.ndarray, rows: np.ndarray, cols: Sequence[int], eps: float) -> bool:
@@ -216,18 +215,16 @@ def _fits(
     """Per column y + p over the extent a, whether its range is <= eps and
     whether a window fits, and the windows of each cut column by id.
 
-    All are read off one sort of the column over a, _BLOCK columns at a
-    time: the range is s[-1] - s[0], and a window of min_row rows starts at
-    p iff s[p + min_row - 1] - s[p] <= eps.  A column that fits and is not
-    absorbed is cut into its maximal eps-windows of min_row rows or more,
-    in the order of their starts; it holds at least one.  Only the starts
-    that pass the fits test are visited.  The window at p ends one
-    past the last q with s[q] - s[p] <= eps: searchsorted guesses, and the
-    exact end is settled with the subtraction the validity predicate uses,
-    so windows and is_valid never disagree on a tie.  Start 0 is maximal,
-    and p > 0 iff it reaches past its predecessor: s[e - 1] - s[p - 1] >
-    eps.  A window's rows are those of a whose value lies in [s[p], s[e -
-    1]] (see the module docstring for why that is exact).
+    All are read off one sort of the columns over a (module docstring).  A
+    column that fits and is not absorbed is cut into its maximal
+    eps-windows of min_row rows or more, in the order of their starts; it
+    holds at least one.  The window at p ends one past the last q with
+    s[q] - s[p] <= eps: searchsorted guesses, and the exact end is settled
+    with the subtraction the validity predicate uses, so windows and
+    is_valid never disagree on a tie.  Start 0 is maximal, and p > 0 iff it
+    reaches past its predecessor: s[e - 1] - s[p - 1] > eps.  A window's
+    rows are those of a whose value lies in [s[p], s[e - 1]] (exact: module
+    docstring).
     """
     n = len(a)
     rows = a if n < values.shape[0] else slice(None)  # the root reads values itself
@@ -330,28 +327,30 @@ def _by_masks(absorb: np.ndarray, windows: dict, n: int, min_row: int, min_col: 
 
 
 def _mine_cvc(
-    values: np.ndarray, eps: float, min_row: int, min_col: int, room: int = 0
+    values: np.ndarray, eps: float, min_row: int, min_col: int
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """The walk of the perturbed types: ``inclose2._walk`` with one of two node expansions.
 
     Returns (list of (rows, cols) pairs, node count), no extent twice; a
     matrix of no columns has neither.  After the root's sort, the mask
-    expansion runs if the root windows are few (module docstring) and their
-    masks fit in room bytes: the miners pass their input's size, and 0
-    keeps the sort expansion.
+    expansion runs if the selection allows (module docstring); else every
+    node sorts, on a copy of the columns a ``_Columns`` view gathers.
     """
     n, m = values.shape
     if not m:  # the screen kept no column
         return [], 0
     root = _fits(values, np.arange(n, dtype=np.intp), 0, eps, min_row)
     count = int(root[0].sum()) + sum(map(len, root[2].values()))
-    masks = count <= _WINDOWS * m and count * ((n + 7) // 8) <= room
-    log.debug("walk: %s expansion, %d root windows, %d columns", ("sort", "mask")[masks], count, m)
+    masks = count <= _WINDOWS * m and n <= _TALL * min_row
+    log.debug("walk: %s expansion, %d root windows, %d columns, %d rows",
+              "mask" if masks else "sort", count, m, n)
     if masks:
         expand = _by_masks(root[0], root[2], n, min_row, min_col)
         del root  # the windows' row arrays, now masks
         extents, intents, nodes = _walk((1 << n) - 1, 0, expand)
         return _pairs(extents, intents, n, m), nodes
+    if isinstance(values, _Columns):
+        values = values.values[:, values.kept]
     # extents of the children created so far; an extent that fails the
     # row-maximality test must stay out, because the same rows can reappear
     # later under a stronger intent that no outside row can join, and that
@@ -359,9 +358,10 @@ def _mine_cvc(
     seen: set[bytes] = set()
 
     def expand(a: np.ndarray, b: int, y: int):
-        # the cut columns' windows are listed before the scan, which passes
-        # over every column neither absorbed nor cut (exact: module docstring)
-        absorb, fits, windows = root if len(a) == n else _fits(values, a, y, eps, min_row)
+        # the cut columns' windows are listed before the scan (exact: module
+        # docstring); the root's, sorted already, serve the first node only
+        nonlocal root
+        (absorb, fits, windows), root = root or _fits(values, a, y, eps, min_row), None
         children: list[tuple[np.ndarray, int]] = []
         cut: set[bytes] = set()  # extents of the windows this node has cut
         for j in (y + np.flatnonzero(absorb | fits)).tolist():
@@ -393,6 +393,6 @@ def _cvc(values: np.ndarray, params: EnumParams):
     """Miner for ``cvc``: the kernel on the columns the screen keeps, under the caller's filters."""
     kept = np.flatnonzero(_screen(values, params.epsilon, params.min_row))
     view = values if len(kept) == values.shape[1] else _Columns(values, kept)
-    pairs, nodes = _mine_cvc(view, params.epsilon, params.min_row, params.min_col, values.nbytes)
+    pairs, nodes = _mine_cvc(view, params.epsilon, params.min_row, params.min_col)
     ids = kept.tolist()
     return [(rows, tuple(ids[c] for c in cols)) for rows, cols in pairs], nodes

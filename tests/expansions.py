@@ -30,17 +30,14 @@ def _expansions():
 def _forced(mp, expansion):
     """Every walk inside takes this expansion ("sort" or "mask"), patched through
     the MonkeyPatch mp: the sort with no window count allowed, the mask walk
-    with any count and any mask bytes allowed."""
-    import rinclose.chv
+    with any count and any height allowed."""
     import rinclose.cvc
 
     if expansion == "sort":
         mp.setattr(rinclose.cvc, "_WINDOWS", -1)
     else:
-        mine = rinclose.cvc._mine_cvc
         mp.setattr(rinclose.cvc, "_WINDOWS", 1 << 62)
-        for module in (rinclose.cvc, rinclose.chv):
-            mp.setattr(module, "_mine_cvc", lambda *args: mine(*args[:4], 1 << 62))
+        mp.setattr(rinclose.cvc, "_TALL", 1 << 62)
     with _expansions() as taken:
         yield
     assert set(taken) <= {expansion}, (expansion, taken)  # no walk if the screen keeps nothing

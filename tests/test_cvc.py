@@ -367,7 +367,8 @@ def rm_checks(monkeypatch):
         return hit
 
     monkeypatch.setattr(rinclose.cvc, "_completable", recording)
-    return calls
+    with _forced(monkeypatch, "sort"):  # the expansion that calls it
+        yield calls
 
 
 def test_rm_whole_window_is_empty(rm_checks):
@@ -618,18 +619,31 @@ def test_mask_walk_equals_sort_walk(case):
 
 
 def test_mask_walk_equals_sort_walk_above_the_selection():
-    # inputs whose root windows select the sort expansion: many per column
-    # (distinct decimals at a small min_row), and for chv, about 5 per pair
-    # column but masks that outweigh the input (30 columns, 435 pairs);
+    # inputs whose root selects the sort expansion: many windows per column
+    # (distinct decimals at a small min_row), or few but more than _TALL rows
+    # per min_row (three tied groups on 30 of 200 rows, the rest distinct);
     # forced, the mask walk still walks the same tree
+    import rinclose.cvc
+
     rng = np.random.default_rng(71)
-    cases = [
+    many = [
         (rng.integers(0, 400, size=(60, 4)) / 10, EnumParams(0.3, 1, 2, "cvc")),
         (rng.integers(0, 400, size=(4, 60)) / 10, EnumParams(0.3, 2, 1, "cvr")),
-        (rng.integers(0, 30, size=(6, 30)) / 10, EnumParams(0.15, 1, 4, "chv")),
     ]
-    for values, params in cases:
+    tall = 10.0 + 7 * rng.permutation(200 * 4).reshape(200, 4)
+    tall[rng.choice(200, 30, replace=False)] = rng.integers(0, 3, size=(30, 4))
+    tall = [
+        (tall, EnumParams(0.5, 3, 1, "cvc")),
+        (tall.T.copy(), EnumParams(0.5, 1, 3, "cvr")),
+        (tall, EnumParams(0.5, 3, 3, "chv")),
+    ]
+    for values, params in many + tall:
         assert _each_expansion(values, params) == "sort", params.bic_type
+    for values, params in tall:  # and the height is what sends them there
+        with pytest.MonkeyPatch.context() as mp, _expansions() as taken:
+            mp.setattr(rinclose.cvc, "_TALL", 1 << 62)
+            enumerate_biclusters(values, params)
+        assert taken == ["mask"], params.bic_type
 
 
 def test_the_many_windows_probe_takes_the_sort_expansion(monkeypatch):
@@ -708,7 +722,8 @@ def test_registry_drops_extents_that_pass_canonicity_again(monkeypatch):
     monkeypatch.setattr(rinclose.cvc, "_canonical_fast", counting)
     monkeypatch.setattr(rinclose.cvc, "_completable", registering)
     vals = np.random.default_rng(0).integers(0, 6, size=(10, 5)).astype(float)
-    pairs, _ = _mine_cvc(vals, 1.0, 1, 1)
+    with _forced(monkeypatch, "sort"):  # the expansion that calls both
+        pairs, _ = _mine_cvc(vals, 1.0, 1, 1)
     assert max(passes.values()) > 1
     extents = [rows for rows, _ in pairs]
     assert len(set(extents)) == len(extents)
@@ -721,7 +736,8 @@ def test_rm_off_leaks_only_dominated_pairs(monkeypatch):
     params = EnumParams(1.0, 1, 1, "cvc")
     base, _ = _mine_cvc(vals, 1.0, 1, 1)
     monkeypatch.setattr(rinclose.cvc, "_completable", lambda *args: False)
-    leaky, _ = _mine_cvc(vals, 1.0, 1, 1)
+    with _forced(monkeypatch, "sort"):  # the expansion that calls it
+        leaky, _ = _mine_cvc(vals, 1.0, 1, 1)
     extras = set(leaky) - set(base)
     assert set(base) <= set(leaky)
     assert extras  # the row-maximality test really pruned something
