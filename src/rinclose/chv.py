@@ -19,8 +19,10 @@ could reach 2*epsilon), so the problem is lifted to the augmented matrix
 holding every pairwise column difference.  There a coherent column set shows
 up as constant-column structure; the pipeline is
 
-1. screen the pair columns (``cvc._screen`` on ``_pair_blocks``), keeping
-   every one that holds an epsilon-window of min_row rows over all rows,
+1. screen the pair columns (``cvc._screen`` on ``_pair_blocks``, which
+   computes them a block at a time by the one blocking rule of the ``cvc``
+   module docstring), keeping every one that holds an epsilon-window of
+   min_row rows over all rows,
    and index only those (``AugmentedMatrix``): a read subtracts only the
    cells it returns, so the n x m(m-1)/2 matrix is never stored.  Walking
    only the kept pairs is exact, as walking only the kept columns is for
@@ -60,8 +62,8 @@ from itertools import combinations
 import numpy as np
 
 from .core import EnumParams
-from .cvc import _BLOCK, _completable, _mine_cvc, _screen
-from .inclose2 import _bits, _mine_groups
+from . import inclose2
+from .cvc import _completable, _mine_cvc, _screen
 
 
 def _check_differences(values: np.ndarray) -> None:
@@ -113,7 +115,7 @@ def _chv_perfect(values: np.ndarray, params: EnumParams):
         z = values[:, [atr]] - values  # differences vs the pivot column
         if (np.ptp(z[:, :atr], axis=0) == 0.0).any():
             continue
-        pairs, k = _mine_groups(z, params.min_row, params.min_col, start=atr)
+        pairs, k = inclose2._mine_groups(z, params.min_row, params.min_col, start=atr)
         out += pairs
         nodes += k
     return out, nodes
@@ -123,24 +125,28 @@ def maximal_cliques(adj: list[int]) -> list[tuple[int, ...]]:
     """All maximal cliques of the graph whose vertex v has neighbour bitmask adj[v].
 
     Bron-Kerbosch with pivoting: the pivot u of P | X has the most neighbours
-    in P, and only vertices of P outside N(u) are branched on.  Each clique
-    comes out once, isolated vertices as singletons, sorted by vertex tuple.
+    in P, and only vertices of P outside N(u) are branched on, lowest first.
+    The search runs on an explicit stack, so a clique of any size stays
+    within Python's recursion limit.  Each clique comes out once, isolated
+    vertices as singletons, sorted by vertex tuple.
     """
     out: list[tuple[int, ...]] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p | x:
-            out.append(tuple(_bits(r)))
-            return
-        u = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
-        for v in _bits(p & ~adj[u]):
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p ^= bit
-            x |= bit
-
-    if adj:
-        expand(0, (1 << len(adj)) - 1, 0)
+    # the calls of the recursion as an explicit stack of (R, P, X, the
+    # vertices left to branch on, None until the call is entered)
+    stack = [(0, (1 << len(adj)) - 1, 0, None)] if adj else []
+    while stack:
+        r, p, x, todo = stack.pop()
+        if todo is None:
+            if not p | x:
+                out.append(tuple(inclose2._bits(r)))
+                continue
+            u = max(inclose2._bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+            todo = p & ~adj[u]
+        if todo:
+            bit = todo & -todo
+            v = bit.bit_length() - 1
+            stack.append((r, p ^ bit, x | bit, todo ^ bit))
+            stack.append((r | bit, p & adj[v], x & adj[v], None))
     return sorted(out)
 
 
@@ -195,13 +201,14 @@ def extract_chv_from_cvc(
 
 
 def _pair_blocks(t: np.ndarray):
-    """The pair columns t[j] - t[l], j < l, as rows in lexicographic order, up
-    to _BLOCK pairs of one j at a time: ``cvc._screen``'s blocks for ``chv``,
-    t its copy of values.T."""
-    m = len(t)
+    """The pair columns t[j] - t[l], j < l, as rows in lexicographic order,
+    pairs of one j a block at a time (as many as fit in the block budget
+    over the rows of t, or one; ``cvc`` module docstring): ``cvc._screen``'s
+    blocks for ``chv``, t its copy of values.T."""
+    m, step = len(t), max(1, inclose2._BLOCK_BYTES // (t.itemsize * t.shape[1]))
     for j in range(m - 1):
-        for lo in range(j + 1, m, _BLOCK):
-            yield t[j] - t[lo : lo + _BLOCK]
+        for lo in range(j + 1, m, step):
+            yield t[j] - t[lo : lo + step]
 
 
 def _chv(values: np.ndarray, params: EnumParams):

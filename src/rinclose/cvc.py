@@ -28,12 +28,12 @@ child holds every row of its parent (a window over the whole extent is
 absorbed, not cut).  The emitted masks are decoded when the walk ends.
 
 The root, and in the sort expansion every node, sorts its extent's values
-once, column by column from its start attribute (values only, _BLOCK
-columns and at most _SORT_BYTES at a time), and reads every test and every
-window off that one sort (``_fits``): a column whose range s[-1] - s[0] is
-within epsilon is absorbed, a column holding an epsilon-window of min_row
-rows fits, and a column that fits and is not absorbed is cut; the scan
-visits only absorbed and fitting columns, since no other makes a child.
+once, column by column from its start attribute (values only, a block at
+a time), and reads every test and every window off that one sort
+(``_fits``): a column whose range s[-1] - s[0] is within epsilon is
+absorbed, a column holding an epsilon-window of min_row rows fits, and a
+column that fits and is not absorbed is cut; the scan visits only
+absorbed and fitting columns, since no other makes a child.
 Floating-point subtraction is monotone in each operand, so a window of
 min_row rows starts at sorted position p iff s[p + min_row - 1] - s[p] <=
 epsilon: the fits test, and the only starts the cut visits.  A window's
@@ -100,6 +100,12 @@ columns each read asks for (``chv.AugmentedMatrix``).  The miner here
 maps the kept column ids back, and returns the (rows, cols) pairs and node
 count; ``enumerate_biclusters`` owns the model transform, the timing, the
 sort and the stats.
+
+One rule sizes every scratch block: a blocked loop takes as many columns
+as fit in ``inclose2._BLOCK_BYTES`` (4 MiB) over the rows it reads, and
+one column where one is more.  Its loops are ``_fits``, ``_canonical_fast``,
+the row-mask packing of ``_by_masks`` and ``inclose2._masks``, and the pair
+screen of ``chv``.
 """
 from __future__ import annotations
 
@@ -109,12 +115,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import EnumParams
-from .inclose2 import _HOT_CELLS, _bits, _decode, _pairs, _rows_as_ints, _walk
+from . import inclose2
+from .inclose2 import _bits, _decode, _pairs, _rows_as_ints, _walk
 
 log = logging.getLogger("rinclose")
 
-_BLOCK = 256  # columns per read and sort in _fits and _canonical_fast
-_SORT_BYTES = 1 << 22  # and at most this many bytes of values per block in _fits
 _WINDOWS = 12  # root windows per column above which every node sorts (measured crossover)
 _TALL = 64  # rows per min_row above which every node sorts: masks then outweigh row arrays
 
@@ -199,10 +204,11 @@ def _screen(values: np.ndarray, eps: float, min_row: int, blocks=lambda t: (t,))
 def _canonical_fast(values: np.ndarray, rw: np.ndarray, b: int, j: int, eps: float) -> bool:
     """Canonicity of the child rw cut at column j: no column < j outside the intent b fits rw.
 
-    The columns < j are read _BLOCK at a time.
+    The columns < j are read over rw a block at a time (module docstring).
     """
-    for lo in range(0, j, _BLOCK):
-        sub = values[rw, lo : min(lo + _BLOCK, j)]
+    step = max(1, inclose2._BLOCK_BYTES // (8 * len(rw)))
+    for lo in range(0, j, step):
+        sub = values[rw, lo : min(lo + step, j)]
         fit = np.flatnonzero(sub.max(axis=0) - sub.min(axis=0) <= eps)
         if not all(b >> (lo + c) & 1 for c in fit.tolist()):
             return False
@@ -215,21 +221,22 @@ def _fits(
     """Per column y + p over the extent a, whether its range is <= eps and
     whether a window fits, and the windows of each cut column by id.
 
-    All are read off one sort of the columns over a (module docstring).  A
-    column that fits and is not absorbed is cut into its maximal
-    eps-windows of min_row rows or more, in the order of their starts; it
-    holds at least one.  The window at p ends one past the last q with
-    s[q] - s[p] <= eps: searchsorted guesses, and the exact end is settled
-    with the subtraction the validity predicate uses, so windows and
-    is_valid never disagree on a tie.  Start 0 is maximal, and p > 0 iff it
-    reaches past its predecessor: s[e - 1] - s[p - 1] > eps.  A window's
-    rows are those of a whose value lies in [s[p], s[e - 1]] (exact: module
-    docstring).
+    All are read off one sort of the columns over a, a block of them at a
+    time: as many as fit in the block budget over the len(a) rows, or one
+    (module docstring).  A column that fits and is not absorbed is cut into
+    its maximal eps-windows of min_row rows or more, in the order of their
+    starts; it holds at least one.  The window at p ends one past the last
+    q with s[q] - s[p] <= eps: searchsorted guesses, and the exact end is
+    settled with the subtraction the validity predicate uses, so windows
+    and is_valid never disagree on a tie.  Start 0 is maximal, and p > 0
+    iff it reaches past its predecessor: s[e - 1] - s[p - 1] > eps.  A
+    window's rows are those of a whose value lies in [s[p], s[e - 1]]
+    (exact: module docstring).
     """
     n = len(a)
     rows = a if n < values.shape[0] else slice(None)  # the root reads values itself
     w = max(n - min_row + 1, 0)  # window starts; none if too few rows
-    step = max(1, min(_BLOCK, _SORT_BYTES // (8 * max(n, 1))))
+    step = max(1, inclose2._BLOCK_BYTES // (8 * max(n, 1)))
     absorb, fits = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)]
     windows: dict[int, list[np.ndarray]] = {}
     for lo in range(y, values.shape[1], step):
@@ -271,7 +278,7 @@ def _by_masks(absorb: np.ndarray, windows: dict, n: int, min_row: int, min_col: 
     rows = (1 << n) - 1
     wins = [[rows] if full else [] for full in absorb.tolist()]
     listed = [(j, rw) for j, ws in windows.items() for rw in ws]
-    step = max(1, _HOT_CELLS // n)
+    step = max(1, inclose2._BLOCK_BYTES // n)
     for lo in range(0, len(listed), step):
         chunk = listed[lo : lo + step]
         hot = np.zeros((len(chunk), n), dtype=bool)
@@ -297,18 +304,19 @@ def _by_masks(absorb: np.ndarray, windows: dict, n: int, min_row: int, min_col: 
     def expand(a: int, b: int, y: int):
         children: list[tuple[int, int]] = []
         cut: set[int] = set()
+        width = b.bit_count()  # the intent's, kept as it grows
         for j in range(y, m):
             if b >> j & 1:
                 continue
             # the sort expansion's prune waits for a fitting column, but past
             # this one neither makes a child nor, b short of min_col, emits
-            if b.bit_count() + (m - j) < min_col:
+            if width + (m - j) < min_col:
                 return b, children, False
             found: list[int] = []  # each a & w of min_row rows: every window over a among them
             for w in wins[j]:
                 x = a & w
                 if x == a:
-                    b |= 1 << j
+                    b, width = b | 1 << j, width + 1
                     break
                 if x.bit_count() >= min_row:
                     found.append(x)
@@ -321,7 +329,7 @@ def _by_masks(absorb: np.ndarray, windows: dict, n: int, min_row: int, min_col: 
                     if not covered and not joinable(x, (j, *_bits(b))):  # canonical, row-maximal
                         seen.add(x)
                         children.append((x, j))
-        return b, children, a.bit_count() >= min_row and b.bit_count() >= min_col
+        return b, children, a.bit_count() >= min_row and width >= min_col
 
     return expand
 
@@ -364,13 +372,14 @@ def _mine_cvc(
         (absorb, fits, windows), root = root or _fits(values, a, y, eps, min_row), None
         children: list[tuple[np.ndarray, int]] = []
         cut: set[bytes] = set()  # extents of the windows this node has cut
+        width = b.bit_count()  # the intent's, kept as it grows
         for j in (y + np.flatnonzero(absorb | fits)).tolist():
             if b >> j & 1:
                 continue
-            if b.bit_count() + (m - j) < min_col:
+            if width + (m - j) < min_col:
                 return b, children, False
             if absorb[j - y]:
-                b |= 1 << j
+                b, width = b | 1 << j, width + 1
                 continue
             for rw in windows[j]:
                 key = rw.tobytes()
@@ -383,7 +392,7 @@ def _mine_cvc(
                     continue
                 seen.add(key)
                 children.append((rw, j))
-        return b, children, len(a) >= min_row and b.bit_count() >= min_col
+        return b, children, len(a) >= min_row and width >= min_col
 
     extents, intents, nodes = _walk(np.arange(n, dtype=np.intp), 0, expand)
     return [(tuple(a.tolist()), c) for a, c in zip(extents, _decode(intents, m))], nodes

@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import EnumParams
 
-_HOT_CELLS = 1 << 22  # bytes of the 0/1 scratch block _masks (and cvc._by_masks) packs at a time
+_BLOCK_BYTES = 1 << 22  # bytes of scratch per block of every blocked loop (here, in cvc and in chv)
 _DECODE_BYTES = 1 << 16  # bytes of packed masks _unpack unpacks at a time
 _KEY_BYTES = 1 << 18  # bytes of the sort-key block _pairs fills
 
@@ -124,7 +124,7 @@ def _masks(g: np.ndarray, rows: np.ndarray, count: int, n: int) -> list[int]:
     (near-continuous data at min_row 1) would otherwise hold n masks of up
     to n bits each.  The other groups are set in a 0/1 block of groups x
     rows and packed to bytes, a slice of groups at a time so the block stays
-    under _HOT_CELLS bytes.
+    under _BLOCK_BYTES.
     """
     first = np.searchsorted(g, np.arange(count))
     lone = np.diff(first, append=len(g)) == 1
@@ -136,7 +136,7 @@ def _masks(g: np.ndarray, rows: np.ndarray, count: int, n: int) -> list[int]:
     big = np.flatnonzero(~lone)
     keep = ~lone[g]
     g, rows = g[keep], rows[keep]
-    step = max(1, _HOT_CELLS // n)
+    step = max(1, _BLOCK_BYTES // n)
     for lo in range(0, len(big), step):
         sel = big[lo : lo + step]
         a, b = np.searchsorted(g, (sel[0], sel[-1] + 1))
@@ -219,12 +219,12 @@ def _mine_groups(
     planes = [_rows_as_ints(rank >> k & 1) for k in range(int(rank.max(initial=0)).bit_length())]
 
     def expand(a: int, b: int, y: int):
-        size = a.bit_count()
+        size, width = a.bit_count(), b.bit_count()  # width: the intent's, kept as it grows
         children: list[tuple[int, int]] = []
         for j in range(y, m):
             if b >> j & 1:
                 continue
-            if b.bit_count() + (m - j) < min_col:
+            if width + (m - j) < min_col:
                 return b, children, False
             # peel the groups the extent hits, each found by the highest
             # row h not yet placed, until too few rows are left for one
@@ -236,7 +236,7 @@ def _mine_groups(
                 k = g.bit_count()
                 if k >= min_row:
                     if k == size:  # the extent fits inside one group: absorb
-                        b |= 1 << j
+                        b, width = b | 1 << j, width + 1
                         break
                     # canonicity: an earlier non-intent attribute covering g
                     # means this extent was (or will be) produced in an
@@ -257,7 +257,7 @@ def _mine_groups(
                 left -= k
                 if left >= min_row:
                     rest ^= g
-        return b, children, size >= min_row and b.bit_count() >= min_col
+        return b, children, size >= min_row and width >= min_col
 
     extents, intents, nodes = _walk((1 << n) - 1, start, expand)
     return _pairs(extents, intents, n, m), nodes

@@ -175,16 +175,17 @@ def test_the_screen_keeps_every_column_the_root_needs(bic_type, data):
 
 
 def test_the_screen_keeps_the_same_columns_in_blocks_of_every_size(monkeypatch):
-    # a left column's pairs are screened _BLOCK at a time; ids must run on
-    # across every seam, and the screen must drop columns here
-    import rinclose.chv
+    # a left column's pairs are screened _BLOCK_BYTES at a time, here block
+    # pairs of 30 float32 rows; ids must run on across every seam, and the
+    # screen must drop columns here
+    import rinclose.inclose2
 
     rng = np.random.default_rng(73)
     vals = 1e5 + rng.integers(0, 400, size=(30, 12)) / 10
     kept = _screen(vals, 0.3, 4, _pair_blocks)
     assert 0 < kept.sum() < len(kept) == 12 * 11 // 2
     for block in (1, 2, 5):
-        monkeypatch.setattr(rinclose.chv, "_BLOCK", block)
+        monkeypatch.setattr(rinclose.inclose2, "_BLOCK_BYTES", block * 4 * 30)
         assert np.array_equal(_screen(vals, 0.3, 4, _pair_blocks), kept), block
 
 

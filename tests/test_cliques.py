@@ -63,6 +63,15 @@ def test_complete_graph_is_one_clique():
     assert maximal_cliques(adjacency(n, combinations(range(n), 2))) == [tuple(range(n))]
 
 
+def test_a_clique_deeper_than_the_recursion_limit():
+    # the search branches once per clique vertex, so a complete graph of
+    # 1,100 vertices nests 1,100 calls, past Python's default limit of 1,000
+    n = 1100
+    full = (1 << n) - 1
+    adj = [full ^ 1 << v for v in range(n)]
+    assert maximal_cliques(adj) == [tuple(range(n))]
+
+
 @st.composite
 def graphs(draw, max_n):
     """Graphs of 1..max_n vertices, from empty to complete: each edge is kept

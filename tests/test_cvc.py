@@ -178,16 +178,17 @@ def test_windows_do_not_depend_on_the_order_of_tied_rows():
 @pytest.mark.parametrize("block", [1, 3, 256])
 def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
     # columns that hold no window, one, or several, sorted in blocks of
-    # every size, read from a row subset, from the root and from an
-    # augmented matrix; each column read is judged by its verdict against
-    # the brute-force scan
-    import rinclose.cvc
+    # every size (a budget of block columns over all rows, so more over a
+    # subset), read from a row subset, from the root and from an augmented
+    # matrix; each column read is judged by its verdict against the
+    # brute-force scan
+    import rinclose.inclose2
 
-    monkeypatch.setattr(rinclose.cvc, "_BLOCK", block)
     rng = np.random.default_rng(67)
     counts = set()
     for _ in range(30):
         n = int(rng.integers(3, 14))
+        monkeypatch.setattr(rinclose.inclose2, "_BLOCK_BYTES", 8 * n * block)
         narrow = rng.integers(0, 6, size=(n, 4)) / 10  # many windows
         wide = rng.integers(0, 300, size=(n, 3)) / 10  # few or none
         flat = np.full((n, 1), 0.7)  # one window, the whole extent
@@ -220,22 +221,26 @@ def test_cut_equals_the_brute_force_windows_of_every_column(monkeypatch, block):
 
 
 def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
-    # a node of the sort expansion sorts and cuts its columns _BLOCK at a
-    # time, and at most _SORT_BYTES of values at a time; on chv the root of
-    # this 20x26 matrix reads the 261 of its 325 pair columns that the screen
-    # keeps, so every block size below leaves a seam there.  No read _fits
-    # makes may hold more than one block (a node holds one block of pair
-    # columns at a time), and node counts and output bytes must depend
-    # neither on the block nor on the expansion: the mask walk's root reads
-    # in the same blocks
+    # every blocked loop reads at most _BLOCK_BYTES at a time, or one column
+    # where one column is more: a node's _fits sorts and cuts its columns in
+    # such blocks, the sort expansion's canonicity test reads its columns
+    # < j in them, and chv's screen computes its pair columns in them.  On
+    # chv the root of this 20x26 matrix reads the 261 of its 325 pair
+    # columns that the screen keeps, so every budget below but the default
+    # leaves a seam there.  No read may hold more than one block, and node
+    # counts and output bytes must depend neither on the budget nor on the
+    # expansion: the mask walk's root reads in the same blocks
     import rinclose.chv
     import rinclose.cvc
+    import rinclose.inclose2
 
-    reads, fitted, inside = [], [], []
-    mine, fits = rinclose.cvc._mine_cvc, rinclose.cvc._fits
+    reads, fitted, inside, screened = [], [], [], []
+    mine, fits, canonical = rinclose.cvc._mine_cvc, rinclose.cvc._fits, rinclose.cvc._canonical_fast
+    pair_blocks = rinclose.chv._pair_blocks
 
     class Recorded:
-        """The kernel's matrix, recording the width and bytes of every read _fits makes."""
+        """The kernel's matrix, recording the reader, width and bytes of every
+        read _fits and _canonical_fast make."""
 
         def __init__(self, inner):
             self.inner, self.shape = inner, inner.shape
@@ -243,41 +248,58 @@ def test_the_cut_holds_one_block_and_its_size_changes_nothing(monkeypatch):
         def __getitem__(self, key):
             out = self.inner[key]
             if inside:
-                reads.append((out.shape[1], out.nbytes))
+                reads.append((inside[-1], out.shape[1], out.nbytes))
             return out
 
     def recorded_mine(values, *args):
         return mine(Recorded(values), *args)
 
+    def reader(name, f):
+        def read(*args):
+            inside.append(name)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+
+        return read
+
     def counted_fits(values, a, y, eps, min_row):
         fitted.append(values.shape[1] - y)
-        inside.append(True)
-        try:
-            return fits(values, a, y, eps, min_row)
-        finally:
-            inside.pop()
+        return reader("fits", fits)(values, a, y, eps, min_row)
+
+    def recorded_blocks(t):
+        for s in pair_blocks(t):
+            screened.append((len(s), s.nbytes))
+            yield s
 
     for module in (rinclose.cvc, rinclose.chv):
         monkeypatch.setattr(module, "_mine_cvc", recorded_mine)
     monkeypatch.setattr(rinclose.cvc, "_fits", counted_fits)
+    monkeypatch.setattr(rinclose.cvc, "_canonical_fast", reader("canonical", canonical))
+    monkeypatch.setattr(rinclose.chv, "_pair_blocks", recorded_blocks)
     rng = np.random.default_rng(0)
     cases = [(rng.integers(0, 30, size=(60, 20)) / 10, EnumParams(0.4, 5, 2, "cvc")),
              (rng.integers(0, 6, size=(20, 26)).astype(float), EnumParams(1.0, 7, 3, "chv"))]
     for values, params in cases:
         runs = set()
-        for block, sort_bytes in ((1, 1 << 22), (7, 1 << 22), (256, 1 << 22), (256, 24 * len(values))):
+        n = len(values)
+        for budget in (1, 8 * n * 7, 1 << 22, 24 * n):
             for expansion in ("sort", "mask"):
                 with pytest.MonkeyPatch.context() as mp, _forced(mp, expansion):
-                    mp.setattr(rinclose.cvc, "_BLOCK", block)
-                    mp.setattr(rinclose.cvc, "_SORT_BYTES", sort_bytes)
+                    mp.setattr(rinclose.inclose2, "_BLOCK_BYTES", budget)
                     reads.clear()
                     fitted.clear()
+                    screened.clear()
                     sol = enumerate_biclusters(values, params)
                 runs.add((sol.stats.nodes_expanded, solution_to_json(sol)))
-                assert reads and max(w for w, _ in reads) <= block, (params.bic_type, block)
-                assert all(w == 1 or size <= sort_bytes for w, size in reads), params.bic_type
-                assert sum(w for w, _ in reads) >= sum(fitted)
+                assert reads and all(w == 1 or size <= budget for _, w, size in reads), (params.bic_type, budget)
+                assert all(k == 1 or size <= budget for k, size in screened), (params.bic_type, budget)
+                assert bool(screened) == (params.bic_type == "chv")
+                assert sum(w for name, w, _ in reads if name == "fits") >= sum(fitted)
                 assert (len(fitted) > 1) == (expansion == "sort")  # the mask walk sorts at its root only
+                if expansion == "sort":
+                    assert any(name == "canonical" for name, _, _ in reads), params.bic_type
         assert len(runs) == 1, params.bic_type
         assert len(sol) > 0
     assert max(fitted) > 256, max(fitted)
@@ -309,12 +331,14 @@ def test_canonical_ignores_intent_columns(table1):
 def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
     # the kernel's matrix holds only the live columns, those the screen
     # keeps, and a child's canonicity test in the sort expansion reads its
-    # columns < j _BLOCK at a time; on every call, the full scan over all columns < j (the rule: no
-    # column outside the intent has range <= eps over the child) must give
-    # the same verdict.  Decimal values with epsilon on a difference and its
-    # float neighbours, through cvc, cvr (the transpose) and chv (the
-    # augmented matrix), read in blocks of 3 columns and of 256
+    # columns < j _BLOCK_BYTES at a time; on every call, the full scan over
+    # all columns < j (the rule: no column outside the intent has range <=
+    # eps over the child) must give the same verdict.  Decimal values with
+    # epsilon on a difference and its float neighbours, through cvc, cvr
+    # (the transpose) and chv (the augmented matrix), read in blocks of 3
+    # columns over all n rows (so 3 or more over a child) and of 4 MiB
     import rinclose.cvc
+    import rinclose.inclose2
 
     scan = rinclose.cvc._canonical_fast
     seams = []  # whether a test read more than one block
@@ -323,15 +347,15 @@ def test_canonical_on_live_columns_equals_the_full_scan(monkeypatch):
         full = all(b >> c & 1 or values[rw, c].max() - values[rw, c].min() > eps for c in range(j))
         verdict = scan(values, rw, b, j, eps)
         assert verdict == full, (values, rw.tolist(), b, j, eps)
-        seams.append(j > rinclose.cvc._BLOCK)
+        seams.append(8 * len(rw) * j > rinclose.inclose2._BLOCK_BYTES)
         return verdict
 
     monkeypatch.setattr(rinclose.cvc, "_canonical_fast", checked)
     monkeypatch.setattr(rinclose.cvc, "_WINDOWS", -1)  # the sort expansion, the one that reads values
     rng = np.random.default_rng(59)
     for i in range(16):
-        monkeypatch.setattr(rinclose.cvc, "_BLOCK", (3, 256)[i % 2])
         n, m = int(rng.integers(6, 11)), int(rng.integers(6, 15))
+        monkeypatch.setattr(rinclose.inclose2, "_BLOCK_BYTES", (8 * 3 * n, 1 << 22)[i % 2])
         # a few narrow columns among wide ones: windows form in the narrow
         # columns only, and epsilon is a difference there, so the screen
         # keeps few columns of each kernel matrix
@@ -664,7 +688,7 @@ def test_cvc_reads_its_kept_columns_without_a_copy(monkeypatch):
     # 40 columns, each zero on its first 600 rows and distinct elsewhere, and
     # one column of distinct values that the screen drops.  The miner's walk
     # reads the 40 kept columns through a view, at its root only and a few
-    # at a time (here 2, as _SORT_BYTES allows on a matrix 20 times taller),
+    # at a time (here 2, as _BLOCK_BYTES allows on a matrix 20 times taller),
     # and never holds a copy of them.  The screen runs before tracing
     import rinclose.cvc
 
@@ -676,7 +700,7 @@ def test_cvc_reads_its_kept_columns_without_a_copy(monkeypatch):
     keep = _screen(values, params.epsilon, params.min_row)
     assert keep.sum() == 40
     monkeypatch.setattr(rinclose.cvc, "_screen", lambda *args: keep)
-    monkeypatch.setattr(rinclose.cvc, "_SORT_BYTES", 8 * n * 2)
+    monkeypatch.setattr(rinclose.inclose2, "_BLOCK_BYTES", 8 * n * 2)
     tracemalloc.start()
     try:
         with _expansions() as taken:

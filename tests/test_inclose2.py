@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 from rinclose import EnumParams, enumerate_biclusters, inclose2, oracle_enumerate
 from rinclose.cvc import _mine_cvc
 from rinclose.inclose2 import (
+    _BLOCK_BYTES,
     _DECODE_BYTES,
-    _HOT_CELLS,
     _bits,
     _decode,
     _mine_groups,
@@ -222,7 +222,7 @@ def test_group_table_across_packing_blocks():
     values = np.random.default_rng(5).integers(0, 2500, size=(n, 2)).astype(float)
     gid, groups = _value_groups(values, 1)
     sizes = [g.bit_count() for col in groups for g in col]
-    assert 1 in sizes and sum(k > 1 for k in sizes) > _HOT_CELLS // n
+    assert 1 in sizes and sum(k > 1 for k in sizes) > _BLOCK_BYTES // n
     flat = [g for col in groups for g in col]
     for j in range(2):
         by_value = {}
